@@ -113,7 +113,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_correlate(args) -> int:
     log = load_log(args.nodes, args.edges)
-    voltages = [int(v) for v in args.voltages.split(",") if v.strip()]
+    voltages = []
+    for v in (v.strip() for v in args.voltages.split(",")):
+        if v:
+            try:
+                voltages.append(int(v))
+            except ValueError:
+                raise ValueError(f"--voltages: invalid kV level {v!r}") from None
     report = correlate_with_line_count(
         log, args.metric, voltages, args.domestic_only, _year_range(args), args.seed
     )

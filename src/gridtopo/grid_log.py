@@ -15,7 +15,7 @@ import io
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 NODE_KINDS = ("plant", "substation", "transformer")
 NODES_COLUMNS = ("id", "name", "kind", "commissioned", "decommissioned", "domestic")
@@ -98,27 +98,21 @@ class TemporalGridLog:
             return None
         return min(years), max(years)
 
-    def node(self, node_id: str) -> NodeRecord:
-        for rec in self.nodes:
-            if rec.id == node_id:
-                return rec
-        raise KeyError(node_id)
-
-    def edge(self, edge_id: str) -> EdgeRecord:
-        for rec in self.edges:
-            if rec.id == edge_id:
-                return rec
-        raise KeyError(edge_id)
-
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _reader(source: str | TextIO) -> Iterable[list[str]]:
+def _rows(source: str | TextIO, label: str) -> Iterator[tuple[int, list[str]]]:
+    """Numbered CSV rows (the header is row 1); CSV syntax errors name the row."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    return csv.reader(source)
+    row_num = 0
+    try:
+        for row_num, row in enumerate(csv.reader(source), start=1):
+            yield row_num, row
+    except csv.Error as exc:
+        raise GridLogError(f"{label} row {row_num + 1}: {exc}") from None
 
 
 def _check_header(row: list[str] | None, columns: tuple[str, ...], label: str) -> None:
@@ -150,12 +144,12 @@ def _parse_bool(text: str, label: str, row_num: int) -> bool:
 
 
 def _parse_nodes(source: str | TextIO) -> list[NodeRecord]:
-    rows = _reader(source)
-    header = next(iter(rows), None)
+    rows = _rows(source, "nodes")
+    _, header = next(rows, (1, None))
     _check_header(header, NODES_COLUMNS, "nodes")
     records: list[NodeRecord] = []
     seen: set[str] = set()
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(NODES_COLUMNS):
@@ -190,12 +184,12 @@ def _parse_nodes(source: str | TextIO) -> list[NodeRecord]:
 
 
 def _parse_edges(source: str | TextIO, nodes_by_id: dict[str, NodeRecord]) -> list[EdgeRecord]:
-    rows = _reader(source)
-    header = next(iter(rows), None)
+    rows = _rows(source, "edges")
+    _, header = next(rows, (1, None))
     _check_header(header, EDGES_COLUMNS, "edges")
     records: list[EdgeRecord] = []
     seen: set[str] = set()
-    for row_num, row in enumerate(rows, start=2):
+    for row_num, row in rows:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(EDGES_COLUMNS):
@@ -336,9 +330,9 @@ def parse_log(nodes_source: str | TextIO, edges_source: str | TextIO) -> Tempora
 
 
 def load_log(nodes_path: str | Path, edges_path: str | Path) -> TemporalGridLog:
-    """Parse a log from nodes.csv / edges.csv files on disk."""
-    with open(nodes_path, newline="", encoding="utf-8") as nodes_file:
-        with open(edges_path, newline="", encoding="utf-8") as edges_file:
+    """Parse a log from nodes.csv / edges.csv files on disk (UTF-8, BOM allowed)."""
+    with open(nodes_path, newline="", encoding="utf-8-sig") as nodes_file:
+        with open(edges_path, newline="", encoding="utf-8-sig") as edges_file:
             return parse_log(nodes_file, edges_file)
 
 

@@ -190,6 +190,31 @@ def test_missing_input_file_is_one_line_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_oversized_csv_field_is_one_line_error(capsys, tmp_path, fixture_csv_paths):
+    _, edges = fixture_csv_paths
+    bad = tmp_path / "nodes.csv"
+    bad.write_text(
+        "id,name,kind,commissioned,decommissioned,domestic\n"
+        f"A,{'x' * 140000},substation,1950,,true\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "snapshot", "--nodes", str(bad), "--edges", str(edges), "--year", "1960")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: nodes row 2: field larger than field limit")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_correlate_invalid_voltage_names_the_flag(capsys, fixture_csv_paths):
+    code, out, err = run_cli(
+        capsys, "correlate", *log_args(fixture_csv_paths),
+        "--voltages", "220,abc", "--from", "1950", "--to", "1980",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --voltages: invalid kV level 'abc'\n"
+
+
 def test_unknown_flag_exits_nonzero(fixture_csv_paths):
     with pytest.raises(SystemExit) as exc:
         main(["snapshot", "--bogus", "1"])

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtopo.communities import (
+    _greedy_pass,
     assignment_to_csv,
     detect_communities,
     exhaustive_best_partition,
 )
-from gridtopo.graphs import GraphSnapshot
+from gridtopo.generators import watts_strogatz
+from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.metrics import modularity
 
 import properties
 from conftest import clique_union, random_graph
+from oracles import reference_greedy_pass
 
 
 def test_two_triangles_recovered_as_communities():
@@ -112,3 +119,58 @@ def test_invariant_merge_local_optimum():
 
 def test_invariant_clique_union_recovery():
     properties.check_clique_union_recovery()
+
+
+@st.composite
+def graphs_with_ids(draw):
+    """A simple graph on at most 40 nodes and a permutation of its node ids."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+    density = draw(st.sampled_from((0.05, 0.1, 0.2, 0.5)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = random.Random(seed)
+    edges = [pair for pair in pairs if rng.random() < density]
+    ids = draw(st.permutations(range(n)))
+    return GraphSnapshot(range(n), edges), tuple(ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_ids())
+def test_greedy_pass_equals_reference(case):
+    snap, shuffled = case
+    identity = tuple(range(snap.num_nodes))
+    assert _greedy_pass(snap, identity) == reference_greedy_pass(snap, identity)
+    assert _greedy_pass(snap, shuffled) == reference_greedy_pass(snap, shuffled)
+
+
+def test_greedy_pass_equals_reference_on_fixture_years(fixture_log):
+    rng = random.Random(1950)
+    for year in range(1950, 1981):
+        snap = build_snapshot(fixture_log, year)
+        ids = list(range(snap.num_nodes))
+        assert _greedy_pass(snap, tuple(ids)) == reference_greedy_pass(snap, tuple(ids)), year
+        rng.shuffle(ids)
+        assert _greedy_pass(snap, tuple(ids)) == reference_greedy_pass(snap, tuple(ids)), year
+
+
+def _reference_detect(snap, seed, restarts):
+    """The restart loop of ``detect_communities`` driven by the reference pass."""
+    n = snap.num_nodes
+    best = reference_greedy_pass(snap, tuple(range(n)))
+    best_q = modularity(snap, best)
+    rng = random.Random(seed)
+    for _ in range(1, restarts):
+        ids = list(range(n))
+        rng.shuffle(ids)
+        membership = reference_greedy_pass(snap, tuple(ids))
+        q = modularity(snap, membership)
+        if q > best_q:
+            best, best_q = membership, q
+    return best, best_q
+
+
+def test_restarts_equal_reference_restart_loop():
+    for seed in range(12):
+        snap = watts_strogatz(40, 4, 0.2, seed)
+        assignment = detect_communities(snap, seed=seed, restarts=5)
+        assert (assignment.membership, assignment.achieved_q) == _reference_detect(snap, seed, 5), seed

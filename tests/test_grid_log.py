@@ -6,6 +6,7 @@ from gridtopo.grid_log import (
     GridLogError,
     active_elements,
     line_count_series,
+    load_log,
     parse_log,
     to_csv,
 )
@@ -231,6 +232,23 @@ def test_quoted_fields_accepted():
         EDGES_HEADER,
     )
     assert log.nodes[0].name == "Plant, the big one"
+
+
+def test_oversized_field_names_its_row():
+    huge = "x" * 140000
+    with pytest.raises(GridLogError, match=r"^nodes row 3: field larger than field limit"):
+        make_log(["A,A,substation,1950,,true", f"B,{huge},substation,1950,,true"], [])
+    with pytest.raises(GridLogError, match=r"^edges row 2: field larger than field limit"):
+        make_log(["A,A,substation,1950,,true", "B,B,substation,1950,,true"], [f"{huge},A,B,120,1950,,true"])
+
+
+def test_bom_prefixed_files_parse_like_the_originals(tmp_path, fixture_csv_paths, fixture_log):
+    copies = []
+    for path in fixture_csv_paths:
+        copy = tmp_path / path.name
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        copies.append(copy)
+    assert load_log(*copies) == fixture_log
 
 
 def test_canonical_round_trip(fixture_log):
