@@ -17,6 +17,8 @@ from .grid_log import load_log
 from .metrics import METRICS_CSV_HEADER, degree_stats
 
 DEFAULT_SEED = 42
+# longest --from/--to range accepted, so a typo like --to 20200 fails fast
+MAX_YEAR_SPAN = 500
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -50,7 +52,13 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("cs
 def _year_range(args) -> range:
     if args.year_to < args.year_from:
         raise ValueError(f"--to {args.year_to} is before --from {args.year_from}")
-    return range(args.year_from, args.year_to + 1)
+    years = range(args.year_from, args.year_to + 1)
+    if len(years) > MAX_YEAR_SPAN:
+        raise ValueError(
+            f"--from {args.year_from} --to {args.year_to} spans {len(years)} years, "
+            f"more than {MAX_YEAR_SPAN}"
+        )
+    return years
 
 
 def _cmd_snapshot(args) -> int:
@@ -117,9 +125,12 @@ def _cmd_correlate(args) -> int:
     for v in (v.strip() for v in args.voltages.split(",")):
         if v:
             try:
-                voltages.append(int(v))
+                level = int(v)
             except ValueError:
-                raise ValueError(f"--voltages: invalid kV level {v!r}") from None
+                level = 0  # not an integer: rejected below with the levels <= 0
+            if level <= 0:
+                raise ValueError(f"--voltages: invalid kV level {v!r}")
+            voltages.append(level)
     report = correlate_with_line_count(
         log, args.metric, voltages, args.domestic_only, _year_range(args), args.seed
     )

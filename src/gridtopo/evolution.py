@@ -7,43 +7,23 @@ carry None rather than a silent zero; CSV output renders them as NA.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .communities import detect_communities
-from .graphs import GraphSnapshot, build_snapshot, connected_components
+from .graphs import GraphSnapshot, build_snapshot
 from .grid_log import TemporalGridLog, line_count_series
 from .metrics import (
     METRICS_CSV_COLUMNS,
     METRICS_CSV_HEADER,
     MetricsRecord,
-    average_path_length,
     clustering_coefficient,
-    diameter,
+    path_stats,
     random_baselines,
     small_world_sigma,
 )
 
-_RECORD_FIELDS = dict(
-    zip(
-        METRICS_CSV_COLUMNS,
-        (
-            "year",
-            "num_nodes",
-            "num_edges",
-            "avg_degree",
-            "diameter",
-            "avg_path_length",
-            "clustering",
-            "random_path_length",
-            "random_clustering",
-            "sigma",
-            "modularity_q",
-            "component_count",
-            "largest_component_size",
-        ),
-    )
-)
+_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, (f.name for f in fields(MetricsRecord)), strict=True))
 
 
 @dataclass(frozen=True)
@@ -89,15 +69,15 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
         raise ValueError("snapshot carries no year")
     n = snapshot.num_nodes
     e = snapshot.num_edges
-    parts = connected_components(snapshot)
+    parts, distance_sum, longest = path_stats(snapshot)
     lcc_size = len(parts.largest)
 
     avg_degree = 2 * e / n if n > 0 else None
     clustering = clustering_coefficient(snapshot)[0] if n > 0 else None
     path_length = diam = None
     if lcc_size >= 2:
-        path_length = average_path_length(snapshot)
-        diam = diameter(snapshot)
+        path_length = distance_sum / (lcc_size * (lcc_size - 1))
+        diam = longest
     random_l = random_c = None
     if n >= 2 and avg_degree is not None and avg_degree > 1:
         random_l, random_c = random_baselines(n, avg_degree)

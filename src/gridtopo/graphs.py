@@ -17,7 +17,7 @@ class GraphSnapshot:
     results are reproducible.  Instances are immutable after construction.
     """
 
-    __slots__ = ("year", "labels", "_index", "_neighbors", "_neighbor_sets", "_num_edges")
+    __slots__ = ("year", "labels", "_index", "_neighbors", "_num_edges")
 
     def __init__(self, labels: Iterable[Hashable], edges: Iterable[tuple], year: int | None = None):
         ordered = tuple(sorted(labels))
@@ -38,7 +38,6 @@ class GraphSnapshot:
         self.labels = ordered
         self._index = index
         self._neighbors = tuple(tuple(sorted(s)) for s in adjacency)
-        self._neighbor_sets = tuple(frozenset(s) for s in adjacency)
         self._num_edges = sum(len(s) for s in adjacency) // 2
 
     @property
@@ -55,9 +54,6 @@ class GraphSnapshot:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
-    def neighbor_set(self, i: int) -> frozenset[int]:
-        return self._neighbor_sets[i]
-
     def degree(self, i: int) -> int:
         return len(self._neighbors[i])
 
@@ -65,7 +61,7 @@ class GraphSnapshot:
         return tuple(len(nbrs) for nbrs in self._neighbors)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._neighbor_sets[i]
+        return j in self._neighbors[i]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as an (i, j) index pair with i < j."""

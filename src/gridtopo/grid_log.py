@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -104,12 +105,16 @@ class TemporalGridLog:
 
 
 def _rows(source: str | TextIO, label: str) -> Iterator[tuple[int, list[str]]]:
-    """Numbered CSV rows (the header is row 1); CSV syntax errors name the row."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    """Numbered CSV rows (the header is row 1); CSV syntax errors name the row.
+
+    One leading byte-order mark (U+FEFF) is dropped, so BOM-prefixed text
+    and files parse like the plain originals.
+    """
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    first = next(lines, "").removeprefix("\ufeff")
     row_num = 0
     try:
-        for row_num, row in enumerate(csv.reader(source), start=1):
+        for row_num, row in enumerate(csv.reader(itertools.chain((first,), lines)), start=1):
             yield row_num, row
     except csv.Error as exc:
         raise GridLogError(f"{label} row {row_num + 1}: {exc}") from None
@@ -331,8 +336,8 @@ def parse_log(nodes_source: str | TextIO, edges_source: str | TextIO) -> Tempora
 
 def load_log(nodes_path: str | Path, edges_path: str | Path) -> TemporalGridLog:
     """Parse a log from nodes.csv / edges.csv files on disk (UTF-8, BOM allowed)."""
-    with open(nodes_path, newline="", encoding="utf-8-sig") as nodes_file:
-        with open(edges_path, newline="", encoding="utf-8-sig") as edges_file:
+    with open(nodes_path, newline="", encoding="utf-8") as nodes_file:
+        with open(edges_path, newline="", encoding="utf-8") as edges_file:
             return parse_log(nodes_file, edges_file)
 
 

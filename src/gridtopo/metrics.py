@@ -18,9 +18,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .graphs import GraphSnapshot, connected_components, shortest_path_lengths
+from .graphs import ComponentPartition, GraphSnapshot, connected_components, shortest_path_lengths
 
 # truncated Euler-Mascheroni constant, kept at 4 decimals on purpose: the
 # random-baseline formula is defined with exactly this value
@@ -63,21 +63,7 @@ class MetricsRecord:
         return ",".join(format_metric_value(v) for v in self.as_tuple())
 
     def as_tuple(self) -> tuple:
-        return (
-            self.year,
-            self.num_nodes,
-            self.num_edges,
-            self.avg_degree,
-            self.diameter,
-            self.avg_path_length,
-            self.clustering,
-            self.random_path_length,
-            self.random_clustering,
-            self.sigma,
-            self.modularity_q,
-            self.component_count,
-            self.largest_component_size,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> dict:
         return dict(zip(METRICS_CSV_COLUMNS, self.as_tuple()))
@@ -122,12 +108,13 @@ def degree_stats(snapshot: GraphSnapshot) -> DegreeStats:
     return DegreeStats(degrees, 2 * snapshot.num_edges / n, tuple(histogram))
 
 
-def _largest_component_path_stats(snapshot: GraphSnapshot) -> tuple[int, int, int]:
-    """(sum of ordered-pair distances, max distance, size) over the LCC."""
+def path_stats(snapshot: GraphSnapshot) -> tuple[ComponentPartition, int, int]:
+    """Components, then the ordered-pair distance sum and the diameter of the LCC.
+
+    One components pass and one BFS per node of the largest component.
+    """
     parts = connected_components(snapshot)
     members = sorted(parts.largest)
-    if len(members) < 2:
-        raise ValueError("path metrics undefined: largest component has fewer than 2 nodes")
     total = 0
     longest = 0
     for source in members:
@@ -137,18 +124,27 @@ def _largest_component_path_stats(snapshot: GraphSnapshot) -> tuple[int, int, in
             total += d
             if d > longest:
                 longest = d
-    return total, longest, len(members)
+    return parts, total, longest
+
+
+def _path_lcc_size(parts: ComponentPartition) -> int:
+    size = len(parts.largest)
+    if size < 2:
+        raise ValueError("path metrics undefined: largest component has fewer than 2 nodes")
+    return size
 
 
 def average_path_length(snapshot: GraphSnapshot) -> float:
     """Mean hop distance over ordered pairs of the largest component."""
-    total, _, size = _largest_component_path_stats(snapshot)
+    parts, total, _ = path_stats(snapshot)
+    size = _path_lcc_size(parts)
     return total / (size * (size - 1))
 
 
 def diameter(snapshot: GraphSnapshot) -> int:
     """Longest shortest path within the largest component."""
-    _, longest, _ = _largest_component_path_stats(snapshot)
+    parts, _, longest = path_stats(snapshot)
+    _path_lcc_size(parts)
     return longest
 
 
@@ -162,12 +158,11 @@ def clustering_coefficient(snapshot: GraphSnapshot) -> tuple[float, tuple[NodeLo
     for i in range(n):
         nbrs = snapshot.neighbors(i)
         k = len(nbrs)
+        nbr_set = set(nbrs)
         links = 0
-        for a_pos in range(k):
-            nbrs_a = snapshot.neighbor_set(nbrs[a_pos])
-            for b_pos in range(a_pos + 1, k):
-                if nbrs[b_pos] in nbrs_a:
-                    links += 1
+        for a in nbrs:
+            links += len(nbr_set.intersection(snapshot.neighbors(a)))
+        links //= 2  # each link among the neighbours is seen from both of its ends
         local = 2 * links / (k * (k - 1)) if k >= 2 else 0.0
         per_node.append(NodeLocalStats(k, links, local))
         total += local

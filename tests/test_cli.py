@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gridtopo.cli import main
+from gridtopo.cli import MAX_YEAR_SPAN, _year_range, main
 from gridtopo.degree_fit import FitResult, fit_result_from_json
 from gridtopo.evolution import pearson
 
@@ -206,13 +207,14 @@ def test_oversized_csv_field_is_one_line_error(capsys, tmp_path, fixture_csv_pat
 
 
 def test_correlate_invalid_voltage_names_the_flag(capsys, fixture_csv_paths):
-    code, out, err = run_cli(
-        capsys, "correlate", *log_args(fixture_csv_paths),
-        "--voltages", "220,abc", "--from", "1950", "--to", "1980",
-    )
-    assert code == 1
-    assert out == ""
-    assert err == "error: --voltages: invalid kV level 'abc'\n"
+    for voltages, bad in (("220,abc", "abc"), ("-5", "-5"), ("0,400", "0")):
+        code, out, err = run_cli(
+            capsys, "correlate", *log_args(fixture_csv_paths),
+            f"--voltages={voltages}", "--from", "1950", "--to", "1980",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --voltages: invalid kV level {bad!r}\n"
 
 
 def test_unknown_flag_exits_nonzero(fixture_csv_paths):
@@ -227,6 +229,17 @@ def test_bad_year_range_reports_error(capsys, fixture_csv_paths):
     )
     assert code == 1
     assert "before" in err
+
+
+def test_year_range_is_bounded():
+    def years(year_from, year_to):
+        return _year_range(argparse.Namespace(year_from=year_from, year_to=year_to))
+
+    assert years(1950, 1950 + MAX_YEAR_SPAN - 1) == range(1950, 1950 + MAX_YEAR_SPAN)
+    with pytest.raises(ValueError, match="more than 500"):
+        years(1950, 1950 + MAX_YEAR_SPAN)
+    with pytest.raises(ValueError, match="--from 1950 --to 20200 spans 18251 years"):
+        years(1950, 20200)
 
 
 def test_outputs_reproducible(capsys, tmp_path, fixture_csv_paths):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from gridtopo import evolution, graphs, metrics
 from gridtopo.evolution import (
     MetricTimeSeries,
     compute_metrics_record,
@@ -52,6 +55,26 @@ e2,b,c,120,1952,,true
 e3,c,d,120,1953,,true
 e4,a,c,220,1954,,true
 """
+
+
+def test_record_makes_one_components_pass_and_one_bfs_per_lcc_node(monkeypatch, fixture_log):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    components = counted("components", graphs.connected_components)
+    monkeypatch.setattr(metrics, "connected_components", components)
+    monkeypatch.setattr(evolution, "connected_components", components, raising=False)
+    monkeypatch.setattr(metrics, "shortest_path_lengths", counted("bfs", graphs.shortest_path_lengths))
+    record = compute_metrics_record(build_snapshot(fixture_log, 1970))
+    # 1970 has two components, so the BFS sources are the LCC, not all N nodes
+    assert (record.component_count, record.largest_component_size, record.num_nodes) == (2, 11, 12)
+    assert calls == {"components": 1, "bfs": 11}
 
 
 def test_timeseries_monotone_growth_without_decommissions():

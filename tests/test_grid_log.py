@@ -249,6 +249,8 @@ def test_bom_prefixed_files_parse_like_the_originals(tmp_path, fixture_csv_paths
         copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         copies.append(copy)
     assert load_log(*copies) == fixture_log
+    nodes_csv, edges_csv = (path.read_text(encoding="utf-8") for path in fixture_csv_paths)
+    assert parse_log("\ufeff" + nodes_csv, "\ufeff" + edges_csv) == fixture_log
 
 
 def test_canonical_round_trip(fixture_log):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gridtopo.generators import barabasi_albert, watts_strogatz
 from gridtopo.graphs import GraphSnapshot
 from gridtopo.metrics import (
     METRICS_CSV_HEADER,
@@ -13,6 +14,7 @@ from gridtopo.metrics import (
     degree_stats,
     diameter,
     modularity,
+    path_stats,
     random_baselines,
     small_world_sigma,
 )
@@ -108,6 +110,32 @@ def test_path_metrics_need_two_connected_nodes():
         average_path_length(isolated)
     with pytest.raises(ValueError, match="fewer than 2"):
         diameter(isolated)
+
+
+def test_path_stats_and_clustering_match_networkx():
+    nx = pytest.importorskip("networkx")
+    snaps = [
+        watts_strogatz(120, 4, 0.0, 1),
+        watts_strogatz(200, 4, 0.1, 2),
+        watts_strogatz(300, 2, 0.3, 3),  # disconnected: L and d over the LCC only
+        barabasi_albert(150, 1, 4),
+        barabasi_albert(400, 3, 6),  # hubs of degree > 40
+    ]
+    for snap in snaps:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(snap.num_nodes))
+        graph.add_edges_from(snap.edges())
+        components = sorted(nx.connected_components(graph), key=len, reverse=True)
+        assert len(components) == 1 or len(components[0]) > len(components[1])  # a unique LCC
+        lcc = graph.subgraph(components[0])
+        parts, distance_sum, longest = path_stats(snap)
+        assert (parts.num_components, parts.largest) == (len(components), components[0])
+        size = len(parts.largest)
+        assert distance_sum / (size * (size - 1)) == pytest.approx(
+            nx.average_shortest_path_length(lcc), rel=1e-12
+        )
+        assert longest == nx.diameter(lcc)
+        assert clustering_coefficient(snap)[0] == pytest.approx(nx.average_clustering(graph), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
