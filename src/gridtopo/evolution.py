@@ -17,6 +17,7 @@ from .metrics import (
     METRICS_CSV_COLUMNS,
     METRICS_CSV_HEADER,
     MetricsRecord,
+    _mean_distance,
     clustering_coefficient,
     path_stats,
     random_baselines,
@@ -70,14 +71,11 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
     n = snapshot.num_nodes
     e = snapshot.num_edges
     parts, distance_sum, longest = path_stats(snapshot)
-    lcc_size = len(parts.largest)
 
     avg_degree = 2 * e / n if n > 0 else None
     clustering = clustering_coefficient(snapshot)[0] if n > 0 else None
-    path_length = diam = None
-    if lcc_size >= 2:
-        path_length = distance_sum / (lcc_size * (lcc_size - 1))
-        diam = longest
+    path_length = _mean_distance(parts, distance_sum)
+    diam = longest if path_length is not None else None
     random_l = random_c = None
     if n >= 2 and avg_degree is not None and avg_degree > 1:
         random_l, random_c = random_baselines(n, avg_degree)
@@ -99,7 +97,7 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
         sigma=sigma,
         modularity_q=q,
         component_count=parts.num_components,
-        largest_component_size=lcc_size,
+        largest_component_size=len(parts.largest),
     )
 
 

@@ -127,24 +127,29 @@ def path_stats(snapshot: GraphSnapshot) -> tuple[ComponentPartition, int, int]:
     return parts, total, longest
 
 
-def _path_lcc_size(parts: ComponentPartition) -> int:
+def _mean_distance(parts: ComponentPartition, distance_sum: int) -> float | None:
+    """L from the LCC's ordered-pair distance sum; None below 2 LCC nodes."""
     size = len(parts.largest)
-    if size < 2:
-        raise ValueError("path metrics undefined: largest component has fewer than 2 nodes")
-    return size
+    return distance_sum / (size * (size - 1)) if size >= 2 else None
+
+
+_PATHS_UNDEFINED = "path metrics undefined: largest component has fewer than 2 nodes"
 
 
 def average_path_length(snapshot: GraphSnapshot) -> float:
     """Mean hop distance over ordered pairs of the largest component."""
     parts, total, _ = path_stats(snapshot)
-    size = _path_lcc_size(parts)
-    return total / (size * (size - 1))
+    mean = _mean_distance(parts, total)
+    if mean is None:
+        raise ValueError(_PATHS_UNDEFINED)
+    return mean
 
 
 def diameter(snapshot: GraphSnapshot) -> int:
     """Longest shortest path within the largest component."""
     parts, _, longest = path_stats(snapshot)
-    _path_lcc_size(parts)
+    if len(parts.largest) < 2:
+        raise ValueError(_PATHS_UNDEFINED)
     return longest
 
 
