@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -90,22 +91,7 @@ def _cmd_fit(args) -> int:
     if args.model == "both":
         if args.format != "json":
             raise ValueError("--model both supports only --format json")
-        comparison = compare_fits(ccdf)
-        payload = {
-            "power_law": json.loads(fit_result_to_json(comparison.power_law)),
-            "exponential": json.loads(fit_result_to_json(comparison.exponential)),
-            "preferred": comparison.preferred,
-            "tail_residuals": [
-                {
-                    "degree": t.degree,
-                    "p": t.p,
-                    "power_law_residual": t.power_law_residual,
-                    "exponential_residual": t.exponential_residual,
-                }
-                for t in comparison.tail_residuals
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(dataclasses.asdict(compare_fits(ccdf)), indent=2) + "\n"
     else:
         result = fit_model(ccdf, args.model)
         if args.format == "json":

@@ -16,10 +16,9 @@ until the relative SSE change drops below 1e-10 (200 iterations at most).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Sequence
-
-import numpy as np
 
 MODELS = ("power_law", "exponential")
 SSE_RELATIVE_TOLERANCE = 1e-10
@@ -87,49 +86,47 @@ def build_ccdf(histogram: Sequence[int]) -> Ccdf:
     return Ccdf(tuple(points))
 
 
-def _prepare_points(ccdf: Ccdf) -> tuple[np.ndarray, np.ndarray]:
+def _prepare_points(ccdf: Ccdf) -> tuple[list[float], list[float]]:
     points = sorted(ccdf.points)
     if len(points) < 3:
         raise ValueError("insufficient points: need at least 3 distinct degrees")
-    ks = [k for k, _ in points]
-    if len(set(ks)) != len(ks):
+    k = [float(kv) for kv, _ in points]
+    p = [float(pv) for _, pv in points]
+    if len(set(k)) != len(k):
         raise ValueError("duplicate degree in ccdf points")
-    k = np.array(ks, dtype=float)
-    p = np.array([pv for _, pv in points], dtype=float)
-    if np.any(k < 1) or np.any(p <= 0):
+    if any(kv < 1 for kv in k) or not all(pv > 0 for pv in p):
         raise ValueError("ccdf points must have degree >= 1 and p > 0")
     return k, p
 
 
-def _log_space_guess(k: np.ndarray, p: np.ndarray, model: str) -> tuple[float, float]:
+def _log_space_guess(k: list[float], p: list[float], model: str) -> tuple[float, float]:
     """Linear regression on log p gives the starting parameters."""
-    x = np.log(k) if model == "power_law" else k
-    y = np.log(p)
-    x_mean, y_mean = x.mean(), y.mean()
-    denom = float(np.sum((x - x_mean) ** 2))
+    x = [math.log(kv) for kv in k] if model == "power_law" else k
+    y = [math.log(pv) for pv in p]
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    dx = [xv - x_mean for xv in x]
+    denom = sum(d * d for d in dx)
     if denom == 0.0:
         raise ValueError("cannot form initial guess: degenerate degree values")
-    slope = float(np.sum((x - x_mean) * (y - y_mean))) / denom
+    slope = sum(d * (yv - y_mean) for d, yv in zip(dx, y)) / denom
     if slope >= 0.0:
         raise ValueError("cannot form initial guess: distribution is not decreasing")
     intercept = y_mean - slope * x_mean
-    a0 = float(np.exp(intercept))
+    try:
+        a0 = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(f"cannot form initial guess: amplitude exp({intercept:.6g}) overflows") from None
     shape0 = -slope if model == "power_law" else -1.0 / slope
-    return a0, float(shape0)
+    return a0, shape0
 
 
-def _predict(k: np.ndarray, a: float, shape: float, model: str) -> np.ndarray:
+def _basis(k: float, shape: float, model: str) -> tuple[float, float]:
+    """Model value at degree k for a = 1, and its derivative in the shape."""
     if model == "power_law":
-        return a * k ** (-shape)
-    return a * np.exp(-k / shape)
-
-
-def _jacobian(k: np.ndarray, a: float, shape: float, model: str) -> np.ndarray:
-    if model == "power_law":
-        base = k ** (-shape)
-        return np.column_stack([base, -a * np.log(k) * base])
-    base = np.exp(-k / shape)
-    return np.column_stack([base, a * k / (shape * shape) * base])
+        value = k ** -shape
+        return value, -math.log(k) * value
+    value = math.exp(-k / shape)
+    return value, k / shape / shape * value
 
 
 def fit_model(ccdf: Ccdf, model: str) -> FitResult:
@@ -140,8 +137,8 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
     a, shape = _log_space_guess(k, p, model)
 
     def sse_of(av: float, sv: float) -> float:
-        residual = _predict(k, av, sv, model) - p
-        return float(residual @ residual)
+        residuals = [av * _basis(kv, sv, model)[0] - pv for kv, pv in zip(k, p)]
+        return sum(r * r for r in residuals)
 
     sse = sse_of(a, shape)
     damping = 1e-3
@@ -149,20 +146,27 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
     iterations = 0
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
-        residual = _predict(k, a, shape, model) - p
-        jac = _jacobian(k, a, shape, model)
-        gradient = jac.T @ residual
-        hessian = jac.T @ jac
+        # gradient J^T r and Gauss-Newton matrix J^T J, J = d(prediction)/d(a, shape)
+        g0 = g1 = h00 = h01 = h11 = 0.0
+        for kv, pv in zip(k, p):
+            j0, d_shape = _basis(kv, shape, model)
+            j1 = a * d_shape
+            r = a * j0 - pv
+            g0 += j0 * r
+            g1 += j1 * r
+            h00 += j0 * j0
+            h01 += j0 * j1
+            h11 += j1 * j1
         stepped = False
         while damping <= 1e12:
-            lhs = hessian + damping * np.diag(np.diag(hessian))
-            try:
-                delta = np.linalg.solve(lhs, -gradient)
-            except np.linalg.LinAlgError:
+            m00, m11 = h00 + damping * h00, h11 + damping * h11
+            det = m00 * m11 - h01 * h01
+            if det == 0.0:
                 damping *= 10.0
                 continue
-            cand_a, cand_shape = a + float(delta[0]), shape + float(delta[1])
-            if cand_shape <= 0.0 or not np.isfinite(cand_a) or not np.isfinite(cand_shape):
+            cand_a = a + (h01 * g1 - m11 * g0) / det
+            cand_shape = shape + (h01 * g0 - m00 * g1) / det
+            if cand_shape <= 0.0 or not math.isfinite(cand_a) or not math.isfinite(cand_shape):
                 damping *= 10.0
                 continue
             cand_sse = sse_of(cand_a, cand_shape)
@@ -179,7 +183,8 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
             # no downhill step exists at any damping: stationary point
             converged = True
 
-    total = float(np.sum((p - p.mean()) ** 2))
+    p_mean = sum(p) / len(p)
+    total = sum((pv - p_mean) * (pv - p_mean) for pv in p)
     r_squared = 1.0 - sse / total if total > 0 else 1.0
     result = FitResult(model, a, shape, sse, r_squared)
     if not converged:
@@ -206,14 +211,13 @@ def compare_fits(ccdf: Ccdf) -> FitComparison:
     top = sorted(ccdf.points, key=lambda kp: kp[0], reverse=True)[:3]
     tail = []
     for degree, p in top:
-        karr = np.array([float(degree)])
         tail.append(
             TailResidual(
                 degree=degree,
                 p=p,
-                power_law_residual=float(_predict(karr, power.a, power.gamma_or_kappa, "power_law")[0] - p),
-                exponential_residual=float(
-                    _predict(karr, exponential.a, exponential.gamma_or_kappa, "exponential")[0] - p
+                power_law_residual=power.a * _basis(degree, power.gamma_or_kappa, "power_law")[0] - p,
+                exponential_residual=(
+                    exponential.a * _basis(degree, exponential.gamma_or_kappa, "exponential")[0] - p
                 ),
             )
         )
@@ -221,15 +225,7 @@ def compare_fits(ccdf: Ccdf) -> FitComparison:
 
 
 def fit_result_to_json(result: FitResult) -> str:
-    return json.dumps(
-        {
-            "model": result.model,
-            "a": result.a,
-            "gamma_or_kappa": result.gamma_or_kappa,
-            "sse": result.sse,
-            "r_squared": result.r_squared,
-        }
-    )
+    return json.dumps(asdict(result))
 
 
 def fit_result_from_json(text: str) -> FitResult:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .graphs import ComponentPartition, GraphSnapshot, connected_components, shortest_path_lengths
 
@@ -200,13 +201,11 @@ def small_world_sigma(
     return sigma, sigma > 1
 
 
-def modularity(snapshot: GraphSnapshot, assignment) -> float:
+def modularity(snapshot: GraphSnapshot, membership: Sequence[int]) -> float:
     """Modularity Q of a community assignment.
 
-    ``assignment`` is a sequence of community labels indexed by node, or
-    any object with a ``membership`` attribute holding one.
+    ``membership`` is a sequence of community labels indexed by node.
     """
-    membership = getattr(assignment, "membership", assignment)
     n = snapshot.num_nodes
     two_e = 2 * snapshot.num_edges
     if two_e == 0:

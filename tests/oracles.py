@@ -3,8 +3,9 @@
 Nothing here may call the code paths it verifies: distances come from a
 Floyd-Warshall relaxation over a numpy matrix, components from
 union-find, modularity from the literal double-loop formula, greedy
-communities from a full rescan of every community pair per merge, and
-CCDF values from direct tail counting.
+communities from a full rescan of every community pair per merge,
+CCDF values from direct tail counting, and CCDF fits from the numpy
+Gauss-Newton iteration that the pure-Python fit replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
+
+from gridtopo.degree_fit import (
+    MAX_ITERATIONS,
+    MODELS,
+    SSE_RELATIVE_TOLERANCE,
+    FitNotConverged,
+    FitResult,
+)
 
 
 def floyd_warshall(snapshot) -> np.ndarray:
@@ -121,3 +130,109 @@ def tail_probability(degrees, k: int) -> float:
     """Fraction of non-isolated nodes with degree >= k, by direct count."""
     base = [d for d in degrees if d >= 1]
     return sum(1 for d in base if d >= k) / len(base)
+
+
+def _reference_points(ccdf) -> tuple[np.ndarray, np.ndarray]:
+    points = sorted(ccdf.points)
+    if len(points) < 3:
+        raise ValueError("insufficient points: need at least 3 distinct degrees")
+    ks = [k for k, _ in points]
+    if len(set(ks)) != len(ks):
+        raise ValueError("duplicate degree in ccdf points")
+    k = np.array(ks, dtype=float)
+    p = np.array([pv for _, pv in points], dtype=float)
+    if np.any(k < 1) or np.any(p <= 0):
+        raise ValueError("ccdf points must have degree >= 1 and p > 0")
+    return k, p
+
+
+def _reference_guess(k: np.ndarray, p: np.ndarray, model: str) -> tuple[float, float]:
+    x = np.log(k) if model == "power_law" else k
+    y = np.log(p)
+    x_mean, y_mean = x.mean(), y.mean()
+    denom = float(np.sum((x - x_mean) ** 2))
+    if denom == 0.0:
+        raise ValueError("cannot form initial guess: degenerate degree values")
+    slope = float(np.sum((x - x_mean) * (y - y_mean))) / denom
+    if slope >= 0.0:
+        raise ValueError("cannot form initial guess: distribution is not decreasing")
+    intercept = y_mean - slope * x_mean
+    a0 = float(np.exp(intercept))
+    shape0 = -slope if model == "power_law" else -1.0 / slope
+    return a0, float(shape0)
+
+
+def reference_predict(k: np.ndarray, a: float, shape: float, model: str) -> np.ndarray:
+    if model == "power_law":
+        return a * k ** (-shape)
+    return a * np.exp(-k / shape)
+
+
+def _reference_jacobian(k: np.ndarray, a: float, shape: float, model: str) -> np.ndarray:
+    if model == "power_law":
+        base = k ** (-shape)
+        return np.column_stack([base, -a * np.log(k) * base])
+    base = np.exp(-k / shape)
+    return np.column_stack([base, a * k / (shape * shape) * base])
+
+
+def reference_fit_model(ccdf, model: str) -> FitResult:
+    """Damped Gauss-Newton over numpy arrays with an ``np.linalg.solve`` step.
+
+    Same starting point, damping schedule and stopping rule as the library;
+    a non-finite starting amplitude is not rejected here (numpy warns and
+    carries inf/nan through to the result).
+    """
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    k, p = _reference_points(ccdf)
+    a, shape = _reference_guess(k, p, model)
+
+    def sse_of(av: float, sv: float) -> float:
+        residual = reference_predict(k, av, sv, model) - p
+        return float(residual @ residual)
+
+    sse = sse_of(a, shape)
+    damping = 1e-3
+    converged = sse == 0.0
+    iterations = 0
+    while not converged and iterations < MAX_ITERATIONS:
+        iterations += 1
+        residual = reference_predict(k, a, shape, model) - p
+        jac = _reference_jacobian(k, a, shape, model)
+        gradient = jac.T @ residual
+        hessian = jac.T @ jac
+        stepped = False
+        while damping <= 1e12:
+            lhs = hessian + damping * np.diag(np.diag(hessian))
+            try:
+                delta = np.linalg.solve(lhs, -gradient)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            cand_a, cand_shape = a + float(delta[0]), shape + float(delta[1])
+            if cand_shape <= 0.0 or not np.isfinite(cand_a) or not np.isfinite(cand_shape):
+                damping *= 10.0
+                continue
+            cand_sse = sse_of(cand_a, cand_shape)
+            if cand_sse <= sse:
+                relative_drop = (sse - cand_sse) / sse if sse > 0 else 0.0
+                a, shape, sse = cand_a, cand_shape, cand_sse
+                damping = max(damping / 10.0, 1e-12)
+                if relative_drop < SSE_RELATIVE_TOLERANCE or sse == 0.0:
+                    converged = True
+                stepped = True
+                break
+            damping *= 10.0
+        if not stepped:
+            # no downhill step exists at any damping: stationary point
+            converged = True
+
+    total = float(np.sum((p - p.mean()) ** 2))
+    r_squared = 1.0 - sse / total if total > 0 else 1.0
+    result = FitResult(model, a, shape, sse, r_squared)
+    if not converged:
+        raise FitNotConverged(
+            f"{model} fit did not converge in {MAX_ITERATIONS} iterations (sse={sse:.6g})", result
+        )
+    return result

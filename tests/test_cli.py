@@ -217,6 +217,49 @@ def test_correlate_invalid_voltage_names_the_flag(capsys, fixture_csv_paths):
         assert err == f"error: --voltages: invalid kV level {bad!r}\n"
 
 
+def test_nonfinite_fit_is_one_line_error(capsys, tmp_path):
+    # 303 nodes linked pairwise except along a 200-node cycle and 51 disjoint
+    # pairs: degrees 300 (200 nodes), 301 (102) and 302 (1), whose log-log
+    # CCDF is so steep that the starting amplitude overflows a float
+    missing = {tuple(sorted((i, (i + 1) % 200))) for i in range(200)}
+    missing |= {(200 + 2 * j, 201 + 2 * j) for j in range(51)}
+    nodes = ["id,name,kind,commissioned,decommissioned,domestic"]
+    nodes += [f"n{i},N{i},substation,1950,,true" for i in range(303)]
+    edges = ["id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic"]
+    edges += [
+        f"e{i}-{j},n{i},n{j},220,1950,,true"
+        for i in range(303)
+        for j in range(i + 1, 303)
+        if (i, j) not in missing
+    ]
+    assert len(edges) - 1 == 45502
+    (tmp_path / "nodes.csv").write_text("\n".join(nodes) + "\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("\n".join(edges) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "fit", "--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv"),
+        "--year", "1960",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot form initial guess: amplitude exp(")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_never_imports_numpy(tmp_path, fixture_csv_paths):
+    nodes, edges = fixture_csv_paths
+    out = tmp_path / "fit.json"
+    fit = ["fit", "--nodes", str(nodes), "--edges", str(edges), "--year", "1980", "--out", str(out)]
+    script = (
+        "import sys, gridtopo.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by gridtopo.cli'\n"
+        f"assert gridtopo.cli.main({fit!r}) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by fit'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["preferred"] in ("power_law", "exponential")
+
+
 def test_unknown_flag_exits_nonzero(fixture_csv_paths):
     with pytest.raises(SystemExit) as exc:
         main(["snapshot", "--bogus", "1"])

@@ -3,10 +3,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtopo.degree_fit import (
+    MODELS,
     Ccdf,
+    FitNotConverged,
     build_ccdf,
     ccdf_to_csv,
     compare_fits,
@@ -15,9 +20,12 @@ from gridtopo.degree_fit import (
     fit_result_to_json,
     preferred_model,
 )
+from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
+from gridtopo.graphs import build_snapshot
+from gridtopo.metrics import degree_stats
 
 import properties
-from oracles import tail_probability
+from oracles import reference_fit_model, reference_predict, tail_probability
 
 
 def test_build_ccdf_direct_count():
@@ -148,3 +156,99 @@ def test_invariant_order_invariance():
 
 def test_invariant_directional_preference():
     properties.check_directional_fit_preference()
+
+
+def test_nonfinite_start_is_value_error():
+    # log-space intercepts of about 4895 (power law) and 856 (exponential):
+    # numpy's exp overflowed to inf and carried it through to a "converged"
+    # result with a=inf and sse=nan
+    steep = Ccdf(((300, 1.0), (301, 1 / 3), (302, 1 / 300)))
+    with_nan = Ccdf(((1, 1.0), (2, math.nan), (3, 0.1)))
+    for model in MODELS:
+        with pytest.raises(ValueError, match=r"initial guess: amplitude exp\(\d+\.?\d*\) overflows"):
+            fit_model(steep, model)
+        with pytest.raises(ValueError, match="p > 0"):
+            fit_model(with_nan, model)
+
+
+_PARAMETERS = ("a", "gamma_or_kappa")
+_GOODNESS = ("sse", "r_squared")
+
+
+def _assert_matches_reference(ccdf: Ccdf, rel: float, fields=_PARAMETERS + _GOODNESS) -> int:
+    """Same fits as the numpy reference on ``fields`` within ``rel``, or the same exception.
+
+    With the parameters among ``fields`` the top-three tail residuals of
+    ``compare_fits`` are checked too.  Every returned fit must be finite.
+    Returns the number of models fitted.
+    """
+    expected = {}
+    for model in MODELS:
+        try:
+            with np.errstate(all="ignore"):
+                expected[model] = reference_fit_model(ccdf, model)
+        except (ValueError, FitNotConverged) as exc:
+            with pytest.raises(type(exc)):
+                fit_model(ccdf, model)
+            continue
+        if not all(math.isfinite(getattr(expected[model], f)) for f in _PARAMETERS + _GOODNESS):
+            # the reference overflowed its starting amplitude
+            with pytest.raises(ValueError, match="cannot form initial guess"):
+                fit_model(ccdf, model)
+            del expected[model]
+            continue
+        got = fit_model(ccdf, model)
+        assert got.model == model
+        for f in _PARAMETERS + _GOODNESS:
+            assert math.isfinite(getattr(got, f)), (model, f)
+        for f in fields:
+            assert getattr(got, f) == pytest.approx(getattr(expected[model], f), rel=rel), (model, f)
+    if len(expected) < len(MODELS):
+        return len(expected)
+    power, exponential = expected["power_law"], expected["exponential"]
+    comparison = compare_fits(ccdf)
+    if not math.isclose(power.sse, exponential.sse, rel_tol=rel):
+        assert comparison.preferred == preferred_model(power.sse, exponential.sse)
+    if "a" not in fields:
+        return len(expected)
+    for tail in comparison.tail_residuals:
+        k = np.array([float(tail.degree)])
+        for model, got in (
+            ("power_law", tail.power_law_residual),
+            ("exponential", tail.exponential_residual),
+        ):
+            fit = expected[model]
+            want = float(reference_predict(k, fit.a, fit.gamma_or_kappa, model)[0] - tail.p)
+            assert got == pytest.approx(want, rel=rel, abs=rel), (model, tail.degree)
+    return len(expected)
+
+
+def test_fit_equals_reference_on_fixture_years(fixture_log):
+    fitted = 0
+    for year in range(1950, 1981):
+        histogram = degree_stats(build_snapshot(fixture_log, year)).histogram
+        fitted += _assert_matches_reference(build_ccdf(histogram), rel=1e-12)
+    assert fitted == 2 * 26  # 1950-1954 have fewer than 3 distinct degrees
+
+
+def test_fit_equals_reference_on_seeded_graphs():
+    for seed in range(1, 9):
+        for snap in (
+            erdos_renyi(200, 0.03, seed),
+            watts_strogatz(200, 4, 0.1, seed),
+            barabasi_albert(300, 2, seed),
+        ):
+            assert _assert_matches_reference(build_ccdf(degree_stats(snap).histogram), rel=1e-12) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(1, 400), st.integers(1, 1000), min_size=1, max_size=40))
+def test_fit_equals_reference_on_any_degree_histogram(counts):
+    # The 1e-10 relative-SSE stopping rule lets two runs end one step apart,
+    # so SSE and R^2 agree to 1e-8.  The parameters are not compared: where
+    # the model cannot follow the histogram the SSE surface is flat along a
+    # valley, and equal SSEs (to 1e-12) come with a, gamma up to 5e-3 apart.
+    histogram = [0] * (max(counts) + 1)
+    for degree, count in counts.items():
+        histogram[degree] = count
+    _assert_matches_reference(build_ccdf(histogram), rel=1e-8, fields=_GOODNESS)
