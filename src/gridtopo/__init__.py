@@ -9,7 +9,6 @@ from .evolution import (
     compute_metrics_record,
     compute_timeseries,
     correlate_with_line_count,
-    normalize_to_max,
     pearson,
     small_world_transition,
 )
@@ -37,7 +36,6 @@ from .metrics import (
     METRICS_CSV_HEADER,
     DegreeStats,
     MetricsRecord,
-    NodeLocalStats,
     average_path_length,
     clustering_coefficient,
     degree_stats,

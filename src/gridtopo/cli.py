@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -23,16 +24,32 @@ MAX_YEAR_SPAN = 500
 
 
 def _write_output(text: str, out_path: str | None) -> None:
-    """Write to stdout, or atomically (temp file + rename) to a path."""
+    """Write to stdout, or to the file a path names (symlinks are followed).
+
+    A FIFO, device or other non-regular file is written in place.  A
+    regular or new file is replaced atomically (temp file + rename); it
+    keeps an existing file's mode, and a new file gets 0o666 less the umask.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".gridtopo-", suffix=".tmp")
     try:
+        mode = os.stat(out_path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    target = os.path.realpath(out_path)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gridtopo-", suffix=".tmp")
+    try:
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, target)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

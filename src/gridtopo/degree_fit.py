@@ -227,20 +227,3 @@ def compare_fits(ccdf: Ccdf) -> FitComparison:
 def fit_result_to_json(result: FitResult) -> str:
     return json.dumps(asdict(result))
 
-
-def fit_result_from_json(text: str) -> FitResult:
-    raw = json.loads(text)
-    return FitResult(
-        model=raw["model"],
-        a=raw["a"],
-        gamma_or_kappa=raw["gamma_or_kappa"],
-        sse=raw["sse"],
-        r_squared=raw["r_squared"],
-    )
-
-
-def ccdf_to_csv(ccdf: Ccdf) -> str:
-    lines = ["k,p"]
-    for k, p in sorted(ccdf.points):
-        lines.append(f"{k},{p!r}")
-    return "\n".join(lines) + "\n"

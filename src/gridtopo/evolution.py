@@ -73,7 +73,7 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
     parts, distance_sum, longest = path_stats(snapshot)
 
     avg_degree = 2 * e / n if n > 0 else None
-    clustering = clustering_coefficient(snapshot)[0] if n > 0 else None
+    clustering = clustering_coefficient(snapshot) if n > 0 else None
     path_length = _mean_distance(parts, distance_sum)
     diam = longest if path_length is not None else None
     random_l = random_c = None
@@ -129,17 +129,6 @@ def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
     cov = sum((x - mean_a) * (y - mean_b) for x, y in zip(a, b))
     r = cov / math.sqrt(var_a * var_b)
     return max(-1.0, min(1.0, r))
-
-
-def normalize_to_max(series: Sequence[float]) -> list[float]:
-    """Scale a series so its maximum becomes 1."""
-    values = [float(x) for x in series]
-    if not values:
-        raise ValueError("series must not be empty")
-    peak = max(values)
-    if peak <= 0.0:
-        raise ValueError("series maximum must be positive")
-    return [x / peak for x in values]
 
 
 def small_world_transition(series: MetricTimeSeries) -> SigmaCrossings:

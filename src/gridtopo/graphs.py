@@ -17,7 +17,7 @@ class GraphSnapshot:
     results are reproducible.  Instances are immutable after construction.
     """
 
-    __slots__ = ("year", "labels", "_index", "_neighbors", "_num_edges")
+    __slots__ = ("year", "labels", "_neighbors", "_num_edges")
 
     def __init__(self, labels: Iterable[Hashable], edges: Iterable[tuple], year: int | None = None):
         ordered = tuple(sorted(labels))
@@ -36,7 +36,6 @@ class GraphSnapshot:
             adjacency[ib].add(ia)
         self.year = year
         self.labels = ordered
-        self._index = index
         self._neighbors = tuple(tuple(sorted(s)) for s in adjacency)
         self._num_edges = sum(len(s) for s in adjacency) // 2
 
@@ -47,9 +46,6 @@ class GraphSnapshot:
     @property
     def num_edges(self) -> int:
         return self._num_edges
-
-    def index_of(self, label) -> int:
-        return self._index[label]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
@@ -104,9 +100,8 @@ class ComponentPartition:
 
 def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
     """Materialize the simple graph of elements in service during ``year``."""
-    node_ids, edge_ids = active_elements(log, year)
-    pairs = {e.endpoints for e in log.edges if e.id in edge_ids}
-    return GraphSnapshot(node_ids, sorted(pairs), year=year)
+    node_ids, edges = active_elements(log, year)
+    return GraphSnapshot(node_ids, (e.endpoints for e in edges), year=year)
 
 
 def shortest_path_lengths(snapshot: GraphSnapshot, source: int) -> list[int]:

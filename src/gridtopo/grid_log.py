@@ -89,40 +89,44 @@ class TemporalGridLog:
     edges: tuple[EdgeRecord, ...]
     merges: tuple[CircuitMerge, ...] = field(default=(), compare=False)
 
-    @property
-    def year_range(self) -> tuple[int, int] | None:
-        """(earliest commission, latest year named by any record), or None."""
-        years = [r.commissioned for r in self.nodes] + [r.commissioned for r in self.edges]
-        years += [r.decommissioned for r in self.nodes if r.decommissioned is not None]
-        years += [r.decommissioned for r in self.edges if r.decommissioned is not None]
-        if not years:
-            return None
-        return min(years), max(years)
-
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _rows(source: str | TextIO, label: str) -> Iterator[tuple[int, list[str]]]:
-    """Numbered CSV rows (the header is row 1); CSV syntax errors name the row.
+def _rows(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+    """Checked data rows of one table as (row number, stripped id, fields).
 
-    One leading byte-order mark (U+FEFF) is dropped, so BOM-prefixed text
-    and files parse like the plain originals.
+    The header is row 1 and must name ``columns``.  Blank rows are
+    skipped; a row with the wrong field count, an empty id or an id seen
+    before is an error.  CSV syntax errors name the row.  One leading
+    byte-order mark (U+FEFF) is dropped, so BOM-prefixed text and files
+    parse like the plain originals.
     """
     lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
-    row_num = 0
+    reader = csv.reader(itertools.chain((first,), lines))
+    seen: set[str] = set()
+    row_num = 0  # the last row read, so a CSV syntax error names the next one
     try:
-        for row_num, row in enumerate(csv.reader(itertools.chain((first,), lines)), start=1):
-            yield row_num, row
+        header = next(reader, None)
+        row_num = 1
+        if header is None or tuple(cell.strip() for cell in header) != columns:
+            raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
+        for row_num, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(columns):
+                raise GridLogError(f"{label} row {row_num}: expected {len(columns)} fields, got {len(row)}")
+            row_id = row[0].strip()
+            if not row_id:
+                raise GridLogError(f"{label} row {row_num}: empty id")
+            if row_id in seen:
+                raise GridLogError(f"{label} row {row_num}: duplicate {label[:-1]} id {row_id!r}")
+            seen.add(row_id)
+            yield row_num, row_id, row
     except csv.Error as exc:
         raise GridLogError(f"{label} row {row_num + 1}: {exc}") from None
-
-
-def _check_header(row: list[str] | None, columns: tuple[str, ...], label: str) -> None:
-    if row is None or tuple(cell.strip() for cell in row) != columns:
-        raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
 
 
 def _parse_year(text: str, label: str, row_num: int) -> int:
@@ -149,22 +153,8 @@ def _parse_bool(text: str, label: str, row_num: int) -> bool:
 
 
 def _parse_nodes(source: str | TextIO) -> list[NodeRecord]:
-    rows = _rows(source, "nodes")
-    _, header = next(rows, (1, None))
-    _check_header(header, NODES_COLUMNS, "nodes")
     records: list[NodeRecord] = []
-    seen: set[str] = set()
-    for row_num, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(NODES_COLUMNS):
-            raise GridLogError(f"nodes row {row_num}: expected {len(NODES_COLUMNS)} fields, got {len(row)}")
-        node_id = row[0].strip()
-        if not node_id:
-            raise GridLogError(f"nodes row {row_num}: empty id")
-        if node_id in seen:
-            raise GridLogError(f"nodes row {row_num}: duplicate node id {node_id!r}")
-        seen.add(node_id)
+    for row_num, node_id, row in _rows(source, "nodes", NODES_COLUMNS):
         kind = row[2].strip()
         if kind not in NODE_KINDS:
             raise GridLogError(f"nodes row {row_num}: unknown kind {kind!r}")
@@ -189,22 +179,8 @@ def _parse_nodes(source: str | TextIO) -> list[NodeRecord]:
 
 
 def _parse_edges(source: str | TextIO, nodes_by_id: dict[str, NodeRecord]) -> list[EdgeRecord]:
-    rows = _rows(source, "edges")
-    _, header = next(rows, (1, None))
-    _check_header(header, EDGES_COLUMNS, "edges")
     records: list[EdgeRecord] = []
-    seen: set[str] = set()
-    for row_num, row in rows:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(EDGES_COLUMNS):
-            raise GridLogError(f"edges row {row_num}: expected {len(EDGES_COLUMNS)} fields, got {len(row)}")
-        edge_id = row[0].strip()
-        if not edge_id:
-            raise GridLogError(f"edges row {row_num}: empty id")
-        if edge_id in seen:
-            raise GridLogError(f"edges row {row_num}: duplicate edge id {edge_id!r}")
-        seen.add(edge_id)
+    for row_num, edge_id, row in _rows(source, "edges", EDGES_COLUMNS):
         node_a, node_b = row[1].strip(), row[2].strip()
         for endpoint in (node_a, node_b):
             if endpoint not in nodes_by_id:
@@ -379,18 +355,16 @@ def to_csv(log: TemporalGridLog) -> tuple[str, str]:
 # queries
 
 
-def active_elements(log: TemporalGridLog, year: int) -> tuple[set[str], set[str]]:
-    """Ids of nodes and edges in service during ``year``.
+def active_elements(log: TemporalGridLog, year: int) -> tuple[set[str], list[EdgeRecord]]:
+    """Ids of the nodes and the edge records in service during ``year``.
 
     An edge counts only when both endpoints are also active.  Years
-    outside the log's range simply yield empty sets.
+    outside the log's range simply yield nothing.
     """
     active_nodes = {n.id for n in log.nodes if n.active_in(year)}
-    active_edges = {
-        e.id
-        for e in log.edges
-        if e.active_in(year) and e.node_a in active_nodes and e.node_b in active_nodes
-    }
+    active_edges = [
+        e for e in log.edges if e.active_in(year) and e.node_a in active_nodes and e.node_b in active_nodes
+    ]
     return active_nodes, active_edges
 
 
@@ -409,10 +383,6 @@ def line_count_series(
         raise GridLogError("year range must not be empty")
     counts = []
     for year in years:
-        _, edge_ids = active_elements(log, year)
-        count = 0
-        for e in log.edges:
-            if e.id in edge_ids and e.voltage_kv in wanted and (e.domestic or not domestic_only):
-                count += 1
-        counts.append(count)
+        _, edges = active_elements(log, year)
+        counts.append(sum(1 for e in edges if e.voltage_kv in wanted and (e.domestic or not domestic_only)))
     return counts

@@ -29,13 +29,6 @@ EULER_GAMMA_TRUNCATED = 0.5772
 
 
 @dataclass(frozen=True)
-class NodeLocalStats:
-    degree: int
-    neighbor_edge_count: int
-    local_clustering: float
-
-
-@dataclass(frozen=True)
 class DegreeStats:
     degrees: tuple[int, ...]
     average: float
@@ -154,25 +147,24 @@ def diameter(snapshot: GraphSnapshot) -> int:
     return longest
 
 
-def clustering_coefficient(snapshot: GraphSnapshot) -> tuple[float, tuple[NodeLocalStats, ...]]:
-    """Mean local clustering over all nodes, with per-node detail."""
+def clustering_coefficient(snapshot: GraphSnapshot) -> float:
+    """Mean local clustering over all nodes."""
     n = snapshot.num_nodes
     if n == 0:
         raise ValueError("clustering undefined: graph has no nodes")
-    per_node = []
     total = 0.0
     for i in range(n):
         nbrs = snapshot.neighbors(i)
         k = len(nbrs)
+        if k < 2:
+            continue  # contributes 0 to the mean
         nbr_set = set(nbrs)
         links = 0
         for a in nbrs:
             links += len(nbr_set.intersection(snapshot.neighbors(a)))
         links //= 2  # each link among the neighbours is seen from both of its ends
-        local = 2 * links / (k * (k - 1)) if k >= 2 else 0.0
-        per_node.append(NodeLocalStats(k, links, local))
-        total += local
-    return total / n, tuple(per_node)
+        total += 2 * links / (k * (k - 1))
+    return total / n
 
 
 def random_baselines(num_nodes: int, avg_degree: float) -> tuple[float, float]:

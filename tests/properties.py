@@ -8,6 +8,7 @@ acceptance suite runs the whole registry.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 
@@ -29,7 +30,6 @@ from gridtopo import (
     erdos_renyi,
     fit_model,
     modularity,
-    normalize_to_max,
     parse_log,
     pearson,
     random_baselines,
@@ -65,7 +65,7 @@ def _random_membership(n: int, seed: int) -> tuple[int, ...]:
 def ws_small_world_stats() -> tuple[float, bool, float]:
     """(sigma, is_small_world, clustering) for the pinned WS configuration."""
     snap = watts_strogatz(1000, 10, 0.01, 42)
-    c, _ = clustering_coefficient(snap)
+    c = clustering_coefficient(snap)
     stats = degree_stats(snap)
     l = average_path_length(snap)
     l_r, c_r = random_baselines(snap.num_nodes, stats.average)
@@ -80,10 +80,9 @@ def ws_small_world_stats() -> tuple[float, bool, float]:
 def check_active_edge_endpoints_subset() -> None:
     log = demo_log()
     for year in range(1945, 1986):
-        node_ids, edge_ids = active_elements(log, year)
-        for edge in log.edges:
-            if edge.id in edge_ids:
-                assert edge.node_a in node_ids and edge.node_b in node_ids, (year, edge.id)
+        node_ids, edges = active_elements(log, year)
+        for edge in edges:
+            assert edge.node_a in node_ids and edge.node_b in node_ids, (year, edge.id)
 
 
 def check_activity_monotone_under_extension() -> None:
@@ -97,7 +96,7 @@ def check_activity_monotone_under_extension() -> None:
         before_nodes, before_edges = active_elements(log, year)
         after_nodes, after_edges = active_elements(extended, year)
         assert before_nodes <= after_nodes, year
-        assert before_edges <= after_edges, year
+        assert set(before_edges) <= set(after_edges), year
 
 
 def check_parallel_merge_idempotent() -> None:
@@ -209,8 +208,8 @@ def check_metric_relabeling_invariance() -> None:
         )
         assert average_path_length(remapped) == average_path_length(snap)
         assert diameter(remapped) == diameter(snap)
-        c_a, _ = clustering_coefficient(snap)
-        c_b, _ = clustering_coefficient(remapped)
+        c_a = clustering_coefficient(snap)
+        c_b = clustering_coefficient(remapped)
         assert math.isclose(c_a, c_b, rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -224,8 +223,7 @@ def check_sigma_scale_consistency() -> None:
 def check_complete_graph_metrics() -> None:
     for n in range(3, 9):
         snap = clique_union([n])
-        c, _ = clustering_coefficient(snap)
-        assert c == 1.0
+        assert clustering_coefficient(snap) == 1.0
         assert average_path_length(snap) == 1.0
         assert diameter(snap) == 1
 
@@ -372,15 +370,6 @@ def check_pearson_symmetry_and_affine_invariance() -> None:
     assert pearson(a, [-x for x in a]) == -1.0
 
 
-def check_normalize_idempotent() -> None:
-    rng = random.Random(17)
-    series = [rng.uniform(0.1, 9.0) for _ in range(20)]
-    once = normalize_to_max(series)
-    assert normalize_to_max(once) == once
-    assert max(once) == 1.0
-    assert all(0.0 <= v <= 1.0 for v in once)
-
-
 def check_timeseries_slice_consistency() -> None:
     log = demo_log()
     full = compute_timeseries(log, range(1950, 1981))
@@ -428,7 +417,7 @@ def check_er_clustering_near_baseline() -> None:
     n, k_target = 1000, 10.0
     snap = erdos_renyi(n, k_target / (n - 1), 99)
     stats = degree_stats(snap)
-    measured_c, _ = clustering_coefficient(snap)
+    measured_c = clustering_coefficient(snap)
     baseline = stats.average / n
     assert baseline / 2 < measured_c < baseline * 2
 
@@ -468,7 +457,7 @@ def check_cli_fit_round_trip() -> None:
     from pathlib import Path
 
     from gridtopo.data import fixture_paths
-    from gridtopo.degree_fit import fit_result_from_json, fit_result_to_json
+    from gridtopo.degree_fit import FitResult, fit_result_to_json
 
     nodes, edges = fixture_paths()
     with tempfile.TemporaryDirectory() as tmp:
@@ -480,7 +469,7 @@ def check_cli_fit_round_trip() -> None:
             ],
             out,
         ).decode()
-        result = fit_result_from_json(text)
+        result = FitResult(**json.loads(text))
         assert fit_result_to_json(result) + "\n" == text
 
 
@@ -540,7 +529,6 @@ INVARIANTS: tuple[tuple[str, object], ...] = (
     ("degree_fit.order_invariance", check_fit_order_invariance),
     ("degree_fit.directional_preference", check_directional_fit_preference),
     ("evolution.pearson_symmetry_affine", check_pearson_symmetry_and_affine_invariance),
-    ("evolution.normalize_idempotent", check_normalize_idempotent),
     ("evolution.timeseries_slice_consistency", check_timeseries_slice_consistency),
     ("generators.determinism", check_generator_determinism),
     ("generators.simple_graph_outputs", check_generator_outputs_are_simple),

@@ -141,7 +141,7 @@ def test_criterion_08_small_world_regime():
         sigma, is_small, _ = properties.ws_small_world_stats()
         assert sigma > 5
         assert is_small
-        ring_c, _ = clustering_coefficient(watts_strogatz(20, 4, 0.0, 1))
+        ring_c = clustering_coefficient(watts_strogatz(20, 4, 0.0, 1))
         assert ring_c == 0.5  # closed form 3(k-2)/(4(k-1)) at k=4, exact
     report(8, "WS(1000,10,0.01) sigma > 5; ring lattice C = 0.5 exactly", t, f" sigma={sigma:.2f}")
 

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from gridtopo.cli import MAX_YEAR_SPAN, _year_range, main
-from gridtopo.degree_fit import FitResult, fit_result_from_json
+from gridtopo.degree_fit import FitResult
 from gridtopo.evolution import pearson
 
 import properties
@@ -109,7 +112,7 @@ def test_fit_json_round_trips(capsys, fixture_csv_paths):
         "exponential",
     )
     assert code == 0
-    result = fit_result_from_json(out)
+    result = FitResult(**json.loads(out))
     assert isinstance(result, FitResult)
     assert result.model == "exponential"
     assert result.gamma_or_kappa > 0
@@ -326,6 +329,89 @@ def test_outputs_reproducible(capsys, tmp_path, fixture_csv_paths):
         assert code == 0
         gen.append(out_path.read_bytes())
     assert gen[0] == gen[1]
+
+
+GENERATE = ["generate", "--kind", "erdos_renyi", "--n", "30", "--p", "0.2", "--seed", "3"]
+
+
+def _generated(capsys) -> bytes:
+    code, out, _ = run_cli(capsys, *GENERATE)
+    assert code == 0
+    return out.encode()
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    expected = _generated(capsys)
+    (tmp_path / "real.txt").write_text("old\n")
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "sub" / "link.txt"
+    link.symlink_to(os.path.join("..", "real.txt"))
+    code, out, err = run_cli(capsys, *GENERATE, "--out", str(link))
+    assert (code, out, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "real.txt")
+    assert (tmp_path / "real.txt").read_bytes() == expected
+    assert sorted(os.listdir(tmp_path)) == ["real.txt", "sub"]  # no temp file left behind
+    assert os.listdir(tmp_path / "sub") == ["link.txt"]
+
+
+def test_out_writes_a_fifo_in_place(capsys, tmp_path):
+    expected = _generated(capsys)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon reader, joined with a timeout: if the FIFO were replaced instead
+    # of written, the reader would block forever and the join would time out
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, err = run_cli(capsys, *GENERATE, "--out", str(fifo))
+    reader.join(timeout=5)
+    assert (code, err) == (0, "")
+    assert not reader.is_alive(), "nothing was written to the FIFO"
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_out_through_a_link_to_a_pipe_writes_the_pipe(capsys, tmp_path):
+    # the shape of --out /dev/stdout with stdout piped: the link resolves to a
+    # /proc/self/fd entry whose real path does not exist
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd")
+    expected = _generated(capsys)
+    read_end, write_end = os.pipe()
+    try:
+        link = tmp_path / "stdout"
+        link.symlink_to(f"/proc/self/fd/{write_end}")
+        code, _, err = run_cli(capsys, *GENERATE, "--out", str(link))
+        os.close(write_end)
+        write_end = None
+        with os.fdopen(read_end, "rb") as pipe:
+            read_end = None
+            received = pipe.read()
+    finally:
+        for fd in (read_end, write_end):
+            if fd is not None:
+                os.close(fd)
+    assert (code, err) == (0, "")
+    assert received == expected
+    assert link.is_symlink() and os.listdir(tmp_path) == ["stdout"]
+
+
+def test_out_file_mode_follows_the_umask_or_the_existing_file(capsys, tmp_path):
+    expected = _generated(capsys)
+    old_umask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.txt"
+        assert run_cli(capsys, *GENERATE, "--out", str(new))[0] == 0
+        existing = tmp_path / "existing.txt"
+        existing.write_text("old\n")
+        existing.chmod(0o604)
+        assert run_cli(capsys, *GENERATE, "--out", str(existing))[0] == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+    assert new.read_bytes() == existing.read_bytes() == expected
 
 
 def test_invariant_cli_reproducible_outputs():

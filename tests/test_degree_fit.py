@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -12,11 +13,10 @@ from gridtopo.degree_fit import (
     MODELS,
     Ccdf,
     FitNotConverged,
+    FitResult,
     build_ccdf,
-    ccdf_to_csv,
     compare_fits,
     fit_model,
-    fit_result_from_json,
     fit_result_to_json,
     preferred_model,
 )
@@ -134,12 +134,7 @@ def test_tail_residual_table_covers_top_three_degrees():
 def test_fit_result_json_round_trip():
     points = tuple((k, math.exp(-k / 2.5)) for k in range(1, 11))
     fit = fit_model(Ccdf(points), "exponential")
-    assert fit_result_from_json(fit_result_to_json(fit)) == fit
-
-
-def test_ccdf_csv_export():
-    text = ccdf_to_csv(Ccdf(((2, 0.5), (1, 1.0))))
-    assert text.splitlines() == ["k,p", "1,1.0", "2,0.5"]
+    assert FitResult(**json.loads(fit_result_to_json(fit))) == fit
 
 
 def test_invariant_ccdf_shape_and_reconstruction():

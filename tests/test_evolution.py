@@ -10,7 +10,6 @@ from gridtopo.evolution import (
     compute_metrics_record,
     compute_timeseries,
     correlate_with_line_count,
-    normalize_to_max,
     pearson,
     small_world_transition,
 )
@@ -141,17 +140,6 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
 
 
-def test_normalize_to_max_cases():
-    assert normalize_to_max([5.0, 10.0]) == [0.5, 1.0]
-    assert normalize_to_max([3.0, 3.0, 3.0]) == [1.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
-        normalize_to_max([0.0, 0.0])
-    with pytest.raises(ValueError):
-        normalize_to_max([-2.0, -1.0])
-    with pytest.raises(ValueError):
-        normalize_to_max([])
-
-
 def test_transition_simple_scan():
     result = small_world_transition(sigma_series(1949, [0.5, 0.9, 1.2, 1.1]))
     assert result.first_year == 1951
@@ -205,10 +193,6 @@ def test_correlation_needs_defined_years(fixture_log):
 
 def test_invariant_pearson_symmetry_affine():
     properties.check_pearson_symmetry_and_affine_invariance()
-
-
-def test_invariant_normalize_idempotent():
-    properties.check_normalize_idempotent()
 
 
 def test_invariant_slice_consistency():

@@ -35,12 +35,10 @@ def test_ws_ring_lattice_clustering_closed_form():
     # C = 3(k-2)/(4(k-1)) for the unrewired ring lattice
     for k in (4, 6):
         snap = watts_strogatz(20, k, 0.0, 1)
-        c, _ = clustering_coefficient(snap)
+        c = clustering_coefficient(snap)
         assert c == pytest.approx(3 * (k - 2) / (4 * (k - 1)), rel=1e-12)
     # hand check at k=4: each node's 4 neighbours share 3 edges -> 0.5
-    c4, locals_ = clustering_coefficient(watts_strogatz(20, 4, 0.0, 1))
-    assert c4 == 0.5
-    assert all(s.neighbor_edge_count == 3 for s in locals_)
+    assert clustering_coefficient(watts_strogatz(20, 4, 0.0, 1)) == 0.5
 
 
 def test_ws_ring_lattice_is_regular():

@@ -114,7 +114,6 @@ def test_build_snapshot_hand_counted_year(fixture_log):
 def test_snapshot_indexing_is_sorted_and_deterministic(fixture_log):
     snap = build_snapshot(fixture_log, 1970)
     assert list(snap.labels) == sorted(snap.labels)
-    assert snap.index_of(snap.labels[0]) == 0
 
 
 def test_edgelist_export():

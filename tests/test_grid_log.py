@@ -1,8 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import csv
+import io
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridtopo.cli import main
 from gridtopo.grid_log import (
+    NODE_KINDS,
     GridLogError,
     active_elements,
     line_count_series,
@@ -31,7 +39,6 @@ def test_minimal_valid_log():
     )
     assert len(log.nodes) == 2
     assert len(log.edges) == 1
-    assert log.year_range == (1950, 1950)
 
 
 def test_unknown_endpoint_names_id_and_row():
@@ -118,7 +125,7 @@ def test_decommission_year_excludes_element():
 
 def test_query_before_first_commission_is_empty():
     log = make_log(["A,A,plant,1950,,true"], [])
-    assert active_elements(log, 1940) == (set(), set())
+    assert active_elements(log, 1940) == (set(), [])
 
 
 # 12-element log with a hand-enumerated activity table for 1950-1955
@@ -151,7 +158,8 @@ SMALL_LOG_ACTIVITY = {
 def test_activity_matches_hand_enumerated_table():
     log = make_log(SMALL_LOG_NODES, SMALL_LOG_EDGES)
     for year, expected in SMALL_LOG_ACTIVITY.items():
-        assert active_elements(log, year) == expected, year
+        node_ids, edges = active_elements(log, year)
+        assert (node_ids, {e.id for e in edges}) == expected, year
 
 
 def test_line_count_direct():
@@ -226,6 +234,26 @@ def test_header_is_required():
         parse_log("id,name\nA,A\n", EDGES_HEADER)
 
 
+def test_row_reader_checks_both_tables_alike():
+    a_b = "A,A,plant,1950,,true\nB,B,plant,1950,,true\n"
+    cases = [
+        (("id,name\n", EDGES_HEADER), f"nodes: expected header {NODES_HEADER.strip()!r}"),
+        ((NODES_HEADER, "id\n"), f"edges: expected header {EDGES_HEADER.strip()!r}"),
+        ((NODES_HEADER + " ,A,plant,1950,,true\n", EDGES_HEADER), "nodes row 2: empty id"),
+        ((NODES_HEADER + a_b, EDGES_HEADER + '"  ",A,B,120,1950,,true\n'), "edges row 2: empty id"),
+        ((NODES_HEADER + "A,A,plant,1950,,true\n\n , ,\n A ,A,plant,1950,,true\n", EDGES_HEADER),
+         "nodes row 5: duplicate node id 'A'"),
+        ((NODES_HEADER + a_b, EDGES_HEADER + "e,A,B,120,1950,,true\n,,,,,,\ne,A,B,120,1960,,true\n"),
+         "edges row 4: duplicate edge id 'e'"),
+    ]
+    for sources, message in cases:
+        with pytest.raises(GridLogError) as err:
+            parse_log(*sources)
+        assert str(err.value) == message
+    log = parse_log(NODES_HEADER + "\n" + a_b + " , \n", EDGES_HEADER + ",,\ne,A,B,120,1950,,true\n\n")
+    assert (len(log.nodes), len(log.edges)) == (2, 1)  # blank rows are skipped
+
+
 def test_quoted_fields_accepted():
     log = parse_log(
         NODES_HEADER + 'A,"Plant, the big one",plant,1950,,true\n',
@@ -256,6 +284,145 @@ def test_bom_prefixed_files_parse_like_the_originals(tmp_path, fixture_csv_paths
 def test_canonical_round_trip(fixture_log):
     reparsed = parse_log(*to_csv(fixture_log))
     assert reparsed == fixture_log
+
+
+_ODD_TEXT = st.text(st.sampled_from('aZ9 ,;"\'\né-'), max_size=6)
+_TRUE = (" true", "True", "TRUE ")
+_FALSE = ("false", " False", "FALSE")
+
+
+def _csv(header: str, rows: list[list]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return header + out.getvalue()
+
+
+@st.composite
+def valid_log_csv(draw) -> tuple[str, str]:
+    """Node and edge CSV text of a valid log.
+
+    Names and ids hold commas, quotes and newlines; cells carry stray
+    spaces and mixed case; circuits often run in parallel on one pair, and
+    lifetimes may be open, bounded or empty.
+    """
+    nodes = []
+    for i in range(draw(st.integers(2, 7))):
+        commissioned = draw(st.integers(1950, 1960))
+        decommissioned = draw(st.none() | st.integers(commissioned, 1975))
+        nodes.append((commissioned, decommissioned))
+    node_rows = [
+        [
+            f"n{i}" + draw(_ODD_TEXT.map(str.rstrip)),
+            draw(_ODD_TEXT),
+            draw(st.sampled_from(NODE_KINDS)) + draw(st.sampled_from(("", " "))),
+            commissioned,
+            "" if decommissioned is None else f" {decommissioned}",
+            draw(st.sampled_from(_TRUE + _FALSE)),
+        ]
+        for i, (commissioned, decommissioned) in enumerate(nodes)
+    ]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1))
+                          .filter(lambda ab: ab[0] != ab[1]), min_size=1, max_size=3))
+    edge_rows = []
+    for j in range(draw(st.integers(0, 10))):
+        a, b = draw(st.sampled_from(pairs))
+        start = max(nodes[a][0], nodes[b][0])
+        ends = [d for _, d in (nodes[a], nodes[b]) if d is not None]
+        end = min(ends) if ends else None
+        if (end is not None and end <= start) or draw(st.integers(0, 5)) == 0:
+            commissioned = draw(st.integers(1945, 1980))
+            decommissioned = commissioned  # an empty lifetime: never active, never checked
+        else:
+            commissioned = draw(st.integers(start, (end or 1976) - 1))
+            later = st.integers(commissioned, end or 1980)
+            decommissioned = draw(later if end is not None else st.none() | later)
+        edge_rows.append([
+            f"e{j}" + draw(_ODD_TEXT.map(str.rstrip)),
+            node_rows[a][0],
+            node_rows[b][0],
+            draw(st.sampled_from((120, 220, 400, 750))),
+            commissioned,
+            "" if decommissioned is None else decommissioned,
+            draw(st.sampled_from(_TRUE + _FALSE)),
+        ])
+    return _csv(NODES_HEADER, node_rows), _csv(EDGES_HEADER, edge_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_log_csv())
+def test_canonical_csv_round_trips_any_valid_log(sources):
+    log = parse_log(*sources)
+    canonical = to_csv(log)
+    reparsed = parse_log(*canonical)
+    assert reparsed == log
+    assert not reparsed.merges  # merged circuits never overlap again
+    assert to_csv(reparsed) == canonical
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One random edit: drop or duplicate a character or a line, swap two
+    fields of a line, add a stray quote, or truncate."""
+    op = rng.choice(("drop_char", "dup_char", "drop_line", "dup_line", "swap_fields", "quote", "truncate"))
+    at = rng.randrange(len(text) + 1)
+    if op == "drop_char":
+        return text[:at] + text[at + 1 :]
+    if op == "dup_char":
+        return text[:at] + text[at : at + 1] + text[at:]
+    if op == "quote":
+        return text[:at] + '"' + text[at:]
+    if op == "truncate":
+        return text[:at]
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    if op == "drop_line":
+        del lines[i]
+    elif op == "dup_line":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].rstrip("\n").split(",")
+        x, y = rng.randrange(len(fields)), rng.randrange(len(fields))
+        fields[x], fields[y] = fields[y], fields[x]
+        lines[i] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+def mutation_corpus(nodes_csv: str, edges_csv: str, cases: int = 400) -> list[tuple[str, str]]:
+    """Seeded mutants of a log's CSV text: 1 to 3 edits to one of the two files."""
+    corpus = []
+    for seed in range(cases):
+        rng = random.Random(seed)
+        pair = [nodes_csv, edges_csv]
+        side = seed % 2
+        for _ in range(rng.randint(1, 3)):
+            if pair[side]:
+                pair[side] = _mutate(pair[side], rng)
+        corpus.append((pair[0], pair[1]))
+    return corpus
+
+
+def test_mutated_fixture_parses_or_fails_with_one_error_line(capsys, tmp_path, fixture_csv_paths):
+    outcomes = {"parsed": 0, "nodes": 0, "edges": 0}
+    failing = []
+    fixture = (path.read_text(encoding="utf-8") for path in fixture_csv_paths)
+    for nodes_csv, edges_csv in mutation_corpus(*fixture):
+        try:
+            parse_log(nodes_csv, edges_csv)
+        except GridLogError as exc:
+            message = str(exc)
+            assert "\n" not in message, message
+            outcomes[message.split(" ", 1)[0].rstrip(":")] += 1
+            failing.append((nodes_csv, edges_csv, message))
+        else:
+            outcomes["parsed"] += 1
+    assert min(outcomes.values()) >= 20, outcomes  # the corpus reaches both files and both outcomes
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    for nodes_csv, edges_csv, message in failing[:8]:
+        nodes_path.write_text(nodes_csv, encoding="utf-8")
+        edges_path.write_text(edges_csv, encoding="utf-8")
+        argv = ["--nodes", str(nodes_path), "--edges", str(edges_path), "--from", "1950", "--to", "1952"]
+        code = main(["timeseries", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_invariant_active_edge_endpoints_subset():

@@ -135,7 +135,7 @@ def test_path_stats_and_clustering_match_networkx():
             nx.average_shortest_path_length(lcc), rel=1e-12
         )
         assert longest == nx.diameter(lcc)
-        assert clustering_coefficient(snap)[0] == pytest.approx(nx.average_clustering(graph), rel=1e-12)
+        assert clustering_coefficient(snap) == pytest.approx(nx.average_clustering(graph), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +143,22 @@ def test_path_stats_and_clustering_match_networkx():
 
 
 def test_clustering_triangle():
-    c, locals_ = clustering_coefficient(clique_union([3]))
-    assert c == 1.0
-    assert all(s.local_clustering == 1.0 and s.neighbor_edge_count == 1 for s in locals_)
+    assert clustering_coefficient(clique_union([3])) == 1.0
 
 
 def test_clustering_tree_is_zero():
-    c, _ = clustering_coefficient(path_graph(6))
-    assert c == 0.0
+    assert clustering_coefficient(path_graph(6)) == 0.0
 
 
 def test_clustering_k4_minus_edge():
     snap = GraphSnapshot(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    c, locals_ = clustering_coefficient(snap)
-    assert c == pytest.approx(5 / 6, rel=1e-15)
-    assert sorted(s.local_clustering for s in locals_) == pytest.approx([2 / 3, 2 / 3, 1.0, 1.0])
+    assert clustering_coefficient(snap) == pytest.approx(5 / 6, rel=1e-15)
 
 
 def test_clustering_counts_low_degree_nodes_as_zero():
     # triangle plus a pendant: the pendant contributes 0 to the mean
     snap = GraphSnapshot(range(4), [(0, 1), (1, 2), (0, 2), (2, 3)])
-    c, locals_ = clustering_coefficient(snap)
-    assert locals_[3].local_clustering == 0.0
-    assert c == pytest.approx((1.0 + 1.0 + 1 / 3 + 0.0) / 4)
+    assert clustering_coefficient(snap) == pytest.approx((1.0 + 1.0 + 1 / 3 + 0.0) / 4)
 
 
 # ---------------------------------------------------------------------------
