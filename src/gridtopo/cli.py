@@ -44,7 +44,11 @@ def _write_output(text: str, out_path: str | None) -> None:
             handle.write(text)
         return
     target = os.path.realpath(out_path)
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gridtopo-", suffix=".tmp")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gridtopo-", suffix=".tmp")
+    except OSError as exc:
+        # name the path the user gave, not the temp file's random name
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

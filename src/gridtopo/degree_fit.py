@@ -11,6 +11,8 @@ Fits minimize the sum of squared residuals in linear space, one
 unweighted point per distinct degree.  A linear regression on log p
 provides the starting point; a damped Gauss-Newton iteration refines it
 until the relative SSE change drops below 1e-10 (200 iterations at most).
+A fit whose last step was cut short by the shape > 0 boundary has stalled
+there, not converged, and raises FitNotConverged.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class FitComparison:
 
 
 class FitNotConverged(RuntimeError):
-    """Raised when the iteration cap is hit; carries the last iterate."""
+    """Raised when the iteration cap is hit or the fit stalls on the shape > 0
+    boundary; carries the last iterate."""
 
     def __init__(self, message: str, last_result: FitResult):
         super().__init__(message)
@@ -116,6 +119,9 @@ def _log_space_guess(k: list[float], p: list[float], model: str) -> tuple[float,
         a0 = math.exp(intercept)
     except OverflowError:
         raise ValueError(f"cannot form initial guess: amplitude exp({intercept:.6g}) overflows") from None
+    if math.isinf(a0 * a0):
+        # the normal equations hold squares of the basis, about (p/a)**2, which underflow
+        raise ValueError(f"cannot form initial guess: amplitude exp({intercept:.6g}) squared overflows")
     shape0 = -slope if model == "power_law" else -1.0 / slope
     return a0, shape0
 
@@ -143,6 +149,7 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
     sse = sse_of(a, shape)
     damping = 1e-3
     converged = sse == 0.0
+    stalled = False
     iterations = 0
     while not converged and iterations < MAX_ITERATIONS:
         iterations += 1
@@ -158,6 +165,7 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
             h01 += j0 * j1
             h11 += j1 * j1
         stepped = False
+        blocked = False  # some candidate of this iteration crossed shape <= 0
         while damping <= 1e12:
             m00, m11 = h00 + damping * h00, h11 + damping * h11
             det = m00 * m11 - h01 * h01
@@ -167,6 +175,7 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
             cand_a = a + (h01 * g1 - m11 * g0) / det
             cand_shape = shape + (h01 * g0 - m00 * g1) / det
             if cand_shape <= 0.0 or not math.isfinite(cand_a) or not math.isfinite(cand_shape):
+                blocked = blocked or cand_shape <= 0.0
                 damping *= 10.0
                 continue
             cand_sse = sse_of(cand_a, cand_shape)
@@ -182,11 +191,20 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
         if not stepped:
             # no downhill step exists at any damping: stationary point
             converged = True
+        # a last step that the boundary cut short ends there, not at a minimum
+        stalled = converged and blocked and sse > 0.0
 
     p_mean = sum(p) / len(p)
     total = sum((pv - p_mean) * (pv - p_mean) for pv in p)
     r_squared = 1.0 - sse / total if total > 0 else 1.0
     result = FitResult(model, a, shape, sse, r_squared)
+    if stalled:
+        shape_name = "gamma" if model == "power_law" else "kappa"
+        raise FitNotConverged(
+            f"{model} fit stalled on the {shape_name} > 0 boundary "
+            f"({shape_name}={shape:.6g}, sse={sse:.6g})",
+            result,
+        )
     if not converged:
         raise FitNotConverged(
             f"{model} fit did not converge in {MAX_ITERATIONS} iterations (sse={sse:.6g})", result

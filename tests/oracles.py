@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Nothing here may call the code paths it verifies: distances come from a
-Floyd-Warshall relaxation over a numpy matrix, components from
+Floyd-Warshall relaxation over a numpy matrix, the LCC's distance sum and
+diameter from one single-source BFS per node, components from
 union-find, modularity from the literal double-loop formula, greedy
 communities from a full rescan of every community pair per merge,
 CCDF values from direct tail counting, and CCDF fits from the numpy
@@ -21,6 +22,7 @@ from gridtopo.degree_fit import (
     FitNotConverged,
     FitResult,
 )
+from gridtopo.graphs import connected_components, shortest_path_lengths
 
 
 def floyd_warshall(snapshot) -> np.ndarray:
@@ -33,6 +35,22 @@ def floyd_warshall(snapshot) -> np.ndarray:
     for k in range(n):
         np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
     return dist
+
+
+def reference_path_stats(snapshot):
+    """``path_stats`` by one single-source BFS per node of the largest component."""
+    parts = connected_components(snapshot)
+    members = sorted(parts.largest)
+    total = 0
+    longest = 0
+    for source in members:
+        dist = shortest_path_lengths(snapshot, source)
+        for target in members:
+            d = dist[target]
+            total += d
+            if d > longest:
+                longest = d
+    return parts, total, longest
 
 
 def union_find_components(snapshot) -> list[frozenset[int]]:
@@ -160,6 +178,11 @@ def _reference_guess(k: np.ndarray, p: np.ndarray, model: str) -> tuple[float, f
     a0 = float(np.exp(intercept))
     shape0 = -slope if model == "power_law" else -1.0 / slope
     return a0, float(shape0)
+
+
+def reference_start(ccdf, model: str) -> tuple[float, float]:
+    """Starting (a, shape) of ``reference_fit_model``."""
+    return _reference_guess(*_reference_points(ccdf), model)
 
 
 def reference_predict(k: np.ndarray, a: float, shape: float, model: str) -> np.ndarray:

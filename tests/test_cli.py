@@ -414,6 +414,14 @@ def test_out_file_mode_follows_the_umask_or_the_existing_file(capsys, tmp_path):
     assert new.read_bytes() == existing.read_bytes() == expected
 
 
+def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
+    out_path = tmp_path / "nodir" / "x"
+    code, out, err = run_cli(capsys, *GENERATE, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_invariant_cli_reproducible_outputs():
     properties.check_cli_reproducible_outputs()
 

@@ -25,7 +25,7 @@ from gridtopo.graphs import build_snapshot
 from gridtopo.metrics import degree_stats
 
 import properties
-from oracles import reference_fit_model, reference_predict, tail_probability
+from oracles import reference_fit_model, reference_predict, reference_start, tail_probability
 
 
 def test_build_ccdf_direct_count():
@@ -173,6 +173,9 @@ _GOODNESS = ("sse", "r_squared")
 def _assert_matches_reference(ccdf: Ccdf, rel: float, fields=_PARAMETERS + _GOODNESS) -> int:
     """Same fits as the numpy reference on ``fields`` within ``rel``, or the same exception.
 
+    The reference returns a fit stalled on the shape > 0 boundary; there the
+    library must raise ``FitNotConverged`` carrying the same iterate.
+
     With the parameters among ``fields`` the top-three tail residuals of
     ``compare_fits`` are checked too.  Every returned fit must be finite.
     Returns the number of models fitted.
@@ -181,18 +184,32 @@ def _assert_matches_reference(ccdf: Ccdf, rel: float, fields=_PARAMETERS + _GOOD
     for model in MODELS:
         try:
             with np.errstate(all="ignore"):
+                start = reference_start(ccdf, model)[0]
+        except ValueError:
+            start = 0.0  # no start at all: the reference raises below
+        if math.isinf(start * start):
+            # the starting amplitude, or its square, overflows; the normal
+            # equations would underflow, so the library refuses such a start
+            with pytest.raises(ValueError, match="cannot form initial guess"):
+                fit_model(ccdf, model)
+            continue
+        try:
+            with np.errstate(all="ignore"):
                 expected[model] = reference_fit_model(ccdf, model)
         except (ValueError, FitNotConverged) as exc:
             with pytest.raises(type(exc)):
                 fit_model(ccdf, model)
             continue
-        if not all(math.isfinite(getattr(expected[model], f)) for f in _PARAMETERS + _GOODNESS):
-            # the reference overflowed its starting amplitude
-            with pytest.raises(ValueError, match="cannot form initial guess"):
-                fit_model(ccdf, model)
-            del expected[model]
+        try:
+            got = fit_model(ccdf, model)
+        except FitNotConverged as exc:
+            # the reference has no boundary check and returns the iterate it
+            # stalled on; the library must raise with that same iterate
+            assert "> 0 boundary" in str(exc)
+            stalled = expected.pop(model)
+            for f in fields:
+                assert getattr(exc.last_result, f) == pytest.approx(getattr(stalled, f), rel=rel), (model, f)
             continue
-        got = fit_model(ccdf, model)
         assert got.model == model
         for f in _PARAMETERS + _GOODNESS:
             assert math.isfinite(getattr(got, f)), (model, f)
@@ -216,6 +233,28 @@ def _assert_matches_reference(ccdf: Ccdf, rel: float, fields=_PARAMETERS + _GOOD
             want = float(reference_predict(k, fit.a, fit.gamma_or_kappa, model)[0] - tail.p)
             assert got == pytest.approx(want, rel=rel, abs=rel), (model, tail.degree)
     return len(expected)
+
+
+def test_power_law_stall_on_the_boundary_is_not_converged():
+    # every downhill Gauss-Newton step crosses gamma <= 0, so the damping
+    # climbs until a step is too small to lower the SSE by 1e-10 relative
+    counts = {2: 1, 4: 87, 6: 853, 28: 83, 41: 37, 43: 1, 65: 88, 97: 29, 112: 654, 256: 1}
+    histogram = [0] * 257
+    for degree, count in counts.items():
+        histogram[degree] = count
+    ccdf = build_ccdf(histogram)
+    with pytest.raises(FitNotConverged, match=r"^power_law fit stalled on the gamma > 0 boundary") as info:
+        fit_model(ccdf, "power_law")
+    stalled = info.value.last_result
+    assert 0.0 < stalled.gamma_or_kappa < 1e-11
+    assert stalled.r_squared < -1.0  # worse than the best constant
+    with np.errstate(all="ignore"):
+        reference = reference_fit_model(ccdf, "power_law")  # the reference returns the stall
+    for f in _GOODNESS:
+        assert getattr(stalled, f) == pytest.approx(getattr(reference, f), rel=1e-8), f
+    with pytest.raises(FitNotConverged):
+        compare_fits(ccdf)
+    assert fit_model(ccdf, "exponential").r_squared > 0.8
 
 
 def test_fit_equals_reference_on_fixture_years(fixture_log):

@@ -56,7 +56,7 @@ e4,a,c,220,1954,,true
 """
 
 
-def test_record_makes_one_components_pass_and_one_bfs_per_lcc_node(monkeypatch, fixture_log):
+def test_record_makes_one_components_pass_and_no_single_source_bfs(monkeypatch, fixture_log):
     calls = Counter()
 
     def counted(name, fn):
@@ -69,11 +69,12 @@ def test_record_makes_one_components_pass_and_one_bfs_per_lcc_node(monkeypatch, 
     components = counted("components", graphs.connected_components)
     monkeypatch.setattr(metrics, "connected_components", components)
     monkeypatch.setattr(evolution, "connected_components", components, raising=False)
-    monkeypatch.setattr(metrics, "shortest_path_lengths", counted("bfs", graphs.shortest_path_lengths))
+    monkeypatch.setattr(graphs, "shortest_path_lengths", counted("bfs", graphs.shortest_path_lengths))
     record = compute_metrics_record(build_snapshot(fixture_log, 1970))
-    # 1970 has two components, so the BFS sources are the LCC, not all N nodes
+    # 1970 has two components; L and d of the 11-node LCC come from one
+    # multi-source sweep, not from a single-source BFS per LCC node
     assert (record.component_count, record.largest_component_size, record.num_nodes) == (2, 11, 12)
-    assert calls == {"components": 1, "bfs": 11}
+    assert (calls["components"], calls["bfs"]) == (1, 0)
 
 
 def test_timeseries_monotone_growth_without_decommissions():

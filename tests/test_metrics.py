@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridtopo.generators import barabasi_albert, watts_strogatz
-from gridtopo.graphs import GraphSnapshot
+from gridtopo import metrics
+from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
+from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.metrics import (
     METRICS_CSV_HEADER,
     MetricsRecord,
@@ -21,7 +25,7 @@ from gridtopo.metrics import (
 
 import properties
 from conftest import clique_union, random_graph
-from oracles import brute_modularity, floyd_warshall
+from oracles import brute_modularity, floyd_warshall, reference_path_stats
 
 
 def path_graph(n):
@@ -136,6 +140,53 @@ def test_path_stats_and_clustering_match_networkx():
         )
         assert longest == nx.diameter(lcc)
         assert clustering_coefficient(snap) == pytest.approx(nx.average_clustering(graph), rel=1e-12)
+
+
+# path_stats sweeps the sources in blocks; these sizes cover one source per
+# block, blocks that split the LCC unevenly, and the shipped single block
+SOURCE_BLOCKS = (1, 3, 64, 4096)
+
+
+def _assert_path_stats_equal_reference(snap):
+    expected = reference_path_stats(snap)
+    for block in SOURCE_BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "SOURCE_BLOCK", block)
+            assert path_stats(snap) == expected, block
+
+
+@st.composite
+def small_graphs(draw):
+    """A simple graph on at most 30 nodes; sparse draws leave isolated nodes."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    density = draw(st.sampled_from((0.0, 0.05, 0.1, 0.2, 0.5)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = [(i, j) for i in range(n - 1) for j in range(i + 1, n) if rng.random() < density]
+    return GraphSnapshot(range(n), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example(GraphSnapshot([], []))
+@example(GraphSnapshot([0], []))
+@example(GraphSnapshot(range(4), [(0, 1), (2, 3)]))
+def test_path_stats_equals_reference_on_any_graph(snap):
+    _assert_path_stats_equal_reference(snap)
+
+
+def test_path_stats_equals_reference_on_fixture_years(fixture_log):
+    for year in range(1950, 1981):
+        _assert_path_stats_equal_reference(build_snapshot(fixture_log, year))
+
+
+def test_path_stats_equals_reference_on_seeded_graphs():
+    for seed in (1, 2, 3):
+        for snap in (
+            watts_strogatz(200, 4, 0.1, seed),
+            erdos_renyi(150, 0.012, seed),  # several components
+            barabasi_albert(250, 2, seed),
+        ):
+            _assert_path_stats_equal_reference(snap)
 
 
 # ---------------------------------------------------------------------------
