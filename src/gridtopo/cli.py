@@ -21,6 +21,8 @@ from .metrics import METRICS_CSV_HEADER, degree_stats
 DEFAULT_SEED = 42
 # longest --from/--to range accepted, so a typo like --to 20200 fails fast
 MAX_YEAR_SPAN = 500
+# most --restarts accepted: each restart is one more full greedy pass
+MAX_RESTARTS = 1000
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -163,6 +165,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_communities(args) -> int:
+    if args.restarts > MAX_RESTARTS:
+        raise ValueError(f"--restarts {args.restarts} is more than {MAX_RESTARTS}")
     log = load_log(args.nodes, args.edges)
     snapshot = build_snapshot(log, args.year)
     assignment = detect_communities(snapshot, args.seed, args.restarts)

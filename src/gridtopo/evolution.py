@@ -2,13 +2,15 @@
 
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
+A year whose graph equals the previous year's reuses that year's record:
+every column but ``year`` depends only on the graph and the seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Sequence
 
 from .communities import detect_communities
 from .graphs import GraphSnapshot, build_snapshot
@@ -27,6 +29,14 @@ from .metrics import (
 _RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, (f.name for f in fields(MetricsRecord)), strict=True))
 
 
+def _record_field(name: str) -> str:
+    """The MetricsRecord attribute behind a CSV column name."""
+    try:
+        return _RECORD_FIELDS[name]
+    except KeyError:
+        raise ValueError(f"unknown metric {name!r}") from None
+
+
 @dataclass(frozen=True)
 class MetricTimeSeries:
     years: tuple[int, ...]
@@ -34,10 +44,7 @@ class MetricTimeSeries:
 
     def metric(self, name: str) -> list:
         """Column view by CSV column name; absent values stay None."""
-        try:
-            attr = _RECORD_FIELDS[name]
-        except KeyError:
-            raise ValueError(f"unknown metric {name!r}") from None
+        attr = _record_field(name)
         return [getattr(record, attr) for record in self.records]
 
     def to_csv(self) -> str:
@@ -64,8 +71,14 @@ class CorrelationReport:
     dropped_years: tuple[int, ...]
 
 
-def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) -> MetricsRecord:
-    """Full metric row for one snapshot; undefined metrics become None."""
+def compute_metrics_record(
+    snapshot: GraphSnapshot, community_seed: int = 42, *, modularity: bool = True
+) -> MetricsRecord:
+    """Full metric row for one snapshot; undefined metrics become None.
+
+    ``modularity=False`` skips community detection and leaves Q None, for
+    callers that read no Q.
+    """
     if snapshot.year is None:
         raise ValueError("snapshot carries no year")
     n = snapshot.num_nodes
@@ -82,7 +95,7 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
     sigma = None
     if clustering is not None and path_length is not None and random_c is not None:
         sigma = small_world_sigma(clustering, random_c, path_length, random_l)[0]
-    q = detect_communities(snapshot, community_seed).achieved_q if e >= 1 else None
+    q = detect_communities(snapshot, community_seed).achieved_q if modularity and e >= 1 else None
 
     return MetricsRecord(
         year=snapshot.year,
@@ -103,13 +116,32 @@ def compute_metrics_record(snapshot: GraphSnapshot, community_seed: int = 42) ->
 
 def compute_timeseries(log: TemporalGridLog, years: Sequence[int], seed: int = 42) -> MetricTimeSeries:
     """One MetricsRecord per year, communities detected with a fixed seed."""
+    years = _checked_years(years)
+    return MetricTimeSeries(tuple(years), tuple(_yearly_records(log, years, seed)))
+
+
+def _checked_years(years: Sequence[int]) -> list[int]:
     years = list(years)
     if not years:
         raise ValueError("year range must not be empty")
     if any(b <= a for a, b in zip(years, years[1:])):
         raise ValueError("years must be strictly increasing")
-    records = tuple(compute_metrics_record(build_snapshot(log, y), seed) for y in years)
-    return MetricTimeSeries(tuple(years), records)
+    return years
+
+
+def _yearly_records(
+    log: TemporalGridLog, years: list[int], seed: int, *, modularity: bool = True
+) -> Iterator[MetricsRecord]:
+    """One record per year, computed only when the graph differs from the previous year's."""
+    previous = record = None
+    for year in years:
+        snapshot = build_snapshot(log, year)
+        if previous is not None and snapshot.same_graph(previous):
+            record = replace(record, year=year)
+        else:
+            record = compute_metrics_record(snapshot, seed, modularity=modularity)
+        previous = snapshot
+        yield record
 
 
 def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
@@ -166,11 +198,13 @@ def correlate_with_line_count(
     """Pearson r between a metric time series and active line counts.
 
     Years where the metric is undefined are dropped pairwise and
-    reported, since correlation needs both sides.
+    reported, since correlation needs both sides.  Only the metric's own
+    column leaves the records, so Q is computed only when it is the metric.
     """
-    years = list(years)
-    series = compute_timeseries(log, years, seed)
-    metric_values = series.metric(metric)
+    years = _checked_years(years)
+    attr = _record_field(metric)
+    records = _yearly_records(log, years, seed, modularity=attr == "modularity_q")
+    metric_values = [getattr(record, attr) for record in records]
     counts = line_count_series(log, voltages, domestic_only, years)
     used_years, used_values, used_counts, dropped = [], [], [], []
     for year, value, count in zip(years, metric_values, counts):

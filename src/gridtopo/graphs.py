@@ -66,14 +66,14 @@ class GraphSnapshot:
                 if i < j:
                     yield (i, j)
 
+    def same_graph(self, other: GraphSnapshot) -> bool:
+        """Same labelled nodes and edges, whatever the years."""
+        return self.labels == other.labels and self._neighbors == other._neighbors
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return (
-            self.year == other.year
-            and self.labels == other.labels
-            and self._neighbors == other._neighbors
-        )
+        return self.year == other.year and self.same_graph(other)
 
     def __repr__(self) -> str:
         return f"GraphSnapshot(year={self.year}, N={self.num_nodes}, E={self.num_edges})"

@@ -5,8 +5,9 @@ Floyd-Warshall relaxation over a numpy matrix, the LCC's distance sum and
 diameter from one single-source BFS per node, components from
 union-find, modularity from the literal double-loop formula, greedy
 communities from a full rescan of every community pair per merge,
-CCDF values from direct tail counting, and CCDF fits from the numpy
-Gauss-Newton iteration that the pure-Python fit replaced.
+CCDF values from direct tail counting, CCDF fits from the numpy
+Gauss-Newton iteration that the pure-Python fit replaced, and time series
+from one full record per year, with no reuse of a repeated year's record.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from gridtopo.degree_fit import (
     FitNotConverged,
     FitResult,
 )
-from gridtopo.graphs import connected_components, shortest_path_lengths
+from gridtopo.evolution import compute_metrics_record
+from gridtopo.graphs import build_snapshot, connected_components, shortest_path_lengths
 
 
 def floyd_warshall(snapshot) -> np.ndarray:
@@ -51,6 +53,11 @@ def reference_path_stats(snapshot):
             if d > longest:
                 longest = d
     return parts, total, longest
+
+
+def reference_timeseries(log, years, seed):
+    """``compute_timeseries`` records, each year computed from its own snapshot."""
+    return tuple(compute_metrics_record(build_snapshot(log, year), seed) for year in years)
 
 
 def union_find_components(snapshot) -> list[frozenset[int]]:

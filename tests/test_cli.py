@@ -10,7 +10,8 @@ import threading
 
 import pytest
 
-from gridtopo.cli import MAX_YEAR_SPAN, _year_range, main
+from gridtopo import cli, evolution
+from gridtopo.cli import MAX_RESTARTS, MAX_YEAR_SPAN, _year_range, main
 from gridtopo.degree_fit import FitResult
 from gridtopo.evolution import pearson
 
@@ -218,6 +219,36 @@ def test_correlate_invalid_voltage_names_the_flag(capsys, fixture_csv_paths):
         assert code == 1
         assert out == ""
         assert err == f"error: --voltages: invalid kV level {bad!r}\n"
+
+
+def test_correlate_unknown_metric_fails_before_any_record(capsys, monkeypatch, fixture_csv_paths):
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setattr(evolution, "compute_metrics_record", no_record)
+    code, out, err = run_cli(
+        capsys, "correlate", *log_args(fixture_csv_paths), "--metric", "bogus",
+        "--voltages", "220,400", "--from", "1950", "--to", "1980",
+    )
+    assert (code, out, err) == (1, "", "error: unknown metric 'bogus'\n")
+
+
+def test_communities_restarts_are_bounded(capsys, monkeypatch, fixture_csv_paths):
+    restarts = []
+    one_pass = cli.detect_communities
+
+    def recorded(snapshot, seed, count):
+        restarts.append(count)
+        return one_pass(snapshot, seed)
+
+    monkeypatch.setattr(cli, "detect_communities", recorded)
+    argv = ["communities", *log_args(fixture_csv_paths), "--year", "1975", "--restarts"]
+    code, out, err = run_cli(capsys, *argv, str(MAX_RESTARTS + 1))
+    assert (code, out, err) == (1, "", f"error: --restarts 1001 is more than {MAX_RESTARTS}\n")
+    assert restarts == []
+    code, out, err = run_cli(capsys, *argv, str(MAX_RESTARTS))
+    assert (code, err, restarts) == (0, "", [1000])
+    assert out.startswith("node_id,community_id\n")
 
 
 def test_nonfinite_fit_is_one_line_error(capsys, tmp_path):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridtopo import evolution, graphs, metrics
 from gridtopo.evolution import (
@@ -18,6 +24,10 @@ from gridtopo.grid_log import parse_log
 from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord
 
 import properties
+from oracles import reference_timeseries
+
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+CHURN_YEARS = range(1950, 2020)
 
 
 def sigma_series(start_year, sigmas):
@@ -98,6 +108,93 @@ def test_timeseries_matches_single_year_invocations(fixture_log):
     for year, record in zip(series.years, series.records):
         independent = compute_metrics_record(build_snapshot(fixture_log, year), 42)
         assert record == independent
+
+
+def counted_calls(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` in ``calls[name]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@functools.cache
+def churn_log(seed):
+    """The benchmark's 400-node churn log: every odd year repeats the graph of the year before."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return parse_log(*gen.to_csv(gen.generate(400, seed, churn=True)))
+
+
+EVENT_YEARS = (1950, 1952, 1955)
+END_YEARS = (1952, 1955, 1958)
+
+
+@st.composite
+def few_event_year_logs(draw):
+    """A valid log whose records start and end on a few years only, so graphs repeat."""
+    nodes = ["id,name,kind,commissioned,decommissioned,domestic"]
+    lifetimes = []
+    for i in range(draw(st.integers(1, 6))):
+        start = draw(st.sampled_from(EVENT_YEARS))
+        end = draw(st.none() | st.sampled_from([y for y in END_YEARS if y > start]))
+        lifetimes.append((start, end))
+        nodes.append(f"n{i},n{i},substation,{start},{'' if end is None else end},true")
+    edges = ["id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic"]
+    for j in range(draw(st.integers(0, 8)) if len(lifetimes) > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, len(lifetimes) - 1), min_size=2, max_size=2, unique=True))
+        low = max(lifetimes[a][0], lifetimes[b][0])
+        ends = [end for _, end in (lifetimes[a], lifetimes[b]) if end is not None]
+        high = min(ends, default=None)
+        if high is not None and low >= high:
+            continue
+        start = draw(st.sampled_from([y for y in EVENT_YEARS if low <= y and (high is None or y < high)]))
+        later = st.sampled_from([y for y in END_YEARS if start < y and (high is None or y <= high)])
+        end = draw(later if high is not None else st.none() | later)
+        edges.append(f"e{j},n{a},n{b},220,{start},{'' if end is None else end},true")
+    return parse_log("\n".join(nodes) + "\n", "\n".join(edges) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
+def test_timeseries_equals_reference_on_logs_with_repeated_years(log, years):
+    assert compute_timeseries(log, years, seed=3).records == reference_timeseries(log, years, 3)
+
+
+def test_timeseries_equals_reference_on_the_fixture(fixture_log):
+    years = range(1950, 1981)
+    assert compute_timeseries(fixture_log, years).records == reference_timeseries(fixture_log, years, 42)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_timeseries_equals_reference_on_churn_logs(seed):
+    log = churn_log(seed)
+    assert compute_timeseries(log, CHURN_YEARS, seed).records == reference_timeseries(log, CHURN_YEARS, seed)
+
+
+@pytest.mark.parametrize("metric, communities", [("sigma", 0), ("Q", 35)])
+def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, communities):
+    log = churn_log(1)
+    expected = MetricTimeSeries(tuple(CHURN_YEARS), reference_timeseries(log, CHURN_YEARS, 42)).metric(metric)
+    calls = Counter()
+    counted_calls(monkeypatch, evolution, "compute_metrics_record", calls)
+    counted_calls(monkeypatch, evolution, "detect_communities", calls)
+    compute_timeseries(log, CHURN_YEARS)
+    # half the churn years repeat the graph of the year before
+    assert calls == {"compute_metrics_record": 35, "detect_communities": 35}
+    calls.clear()
+    report = correlate_with_line_count(log, metric, [220, 400], True, CHURN_YEARS)
+    assert calls["compute_metrics_record"] == 35
+    assert calls["detect_communities"] == communities
+    assert report.metric_values == tuple(v for v in expected if v is not None)
 
 
 def test_timeseries_rejects_bad_ranges(fixture_log):
