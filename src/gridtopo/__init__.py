@@ -1,6 +1,6 @@
 """Temporal complex-network analytics for power-grid event logs."""
 
-from .communities import CommunityAssignment, detect_communities, exhaustive_best_partition
+from .communities import CommunityAssignment, detect_communities
 from .degree_fit import Ccdf, FitComparison, FitResult, build_ccdf, compare_fits, fit_model
 from .evolution import (
     CorrelationReport,
@@ -14,12 +14,10 @@ from .evolution import (
 )
 from .generators import GeneratorSpec, barabasi_albert, erdos_renyi, generate, watts_strogatz
 from .graphs import (
-    UNREACHABLE,
     ComponentPartition,
     GraphSnapshot,
     build_snapshot,
     connected_components,
-    shortest_path_lengths,
     to_edgelist,
 )
 from .grid_log import (

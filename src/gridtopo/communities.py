@@ -12,8 +12,7 @@ deterministic.  Each merge is found with a lazily invalidated max-heap
 of pair gains, as in Clauset, Newman and Moore, "Finding community
 structure in very large networks", Phys. Rev. E 70, 066111 (2004): the
 heap orders by the same gain formula and the same tie-break, so the
-merge sequence equals that of a full rescan of all pairs per merge.  An
-exhaustive set-partition search is provided as a small-graph reference.
+merge sequence equals that of a full rescan of all pairs per merge.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from dataclasses import dataclass
 
 from . import metrics
 from .graphs import GraphSnapshot
-
-EXHAUSTIVE_MAX_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -126,63 +123,6 @@ def detect_communities(snapshot: GraphSnapshot, seed: int = 42, restarts: int = 
         if q > best_q:
             best_membership, best_q = membership, q
     return CommunityAssignment(best_membership, best_q, "greedy_agglomerative", seed)
-
-
-def exhaustive_best_partition(snapshot: GraphSnapshot) -> CommunityAssignment:
-    """Best-modularity partition by enumerating all set partitions.
-
-    Guarded to 12 nodes; the search space is the Bell number of N.  Ties
-    keep the first partition found in restricted-growth enumeration
-    order.
-    """
-    n = snapshot.num_nodes
-    if n > EXHAUSTIVE_MAX_NODES:
-        raise ValueError(f"exhaustive search refused for more than {EXHAUSTIVE_MAX_NODES} nodes")
-    if snapshot.num_edges < 1:
-        raise ValueError("community detection undefined: graph has no edges")
-
-    two_e = 2 * snapshot.num_edges
-    degrees = snapshot.degrees()
-    masks = [0] * n
-    for i, j in snapshot.edges():
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-
-    assign = [0] * n
-    block_mask = [0] * n
-    block_degree = [0] * n
-    best_q = -float("inf")
-    best: tuple[int, ...] = ()
-
-    def recurse(node: int, num_blocks: int, intra2: int, degree_sq: int) -> None:
-        nonlocal best_q, best
-        if node == n:
-            q = intra2 / two_e - degree_sq / (two_e * two_e)
-            if q > best_q:
-                best_q = q
-                best = tuple(assign)
-            return
-        k = degrees[node]
-        mask = masks[node]
-        limit = min(num_blocks + 1, n)
-        for block in range(limit):
-            added_links = (mask & block_mask[block]).bit_count()
-            assign[node] = block
-            block_mask[block] |= 1 << node
-            old_degree = block_degree[block]
-            block_degree[block] = old_degree + k
-            recurse(
-                node + 1,
-                max(num_blocks, block + 1),
-                intra2 + 2 * added_links,
-                degree_sq + 2 * old_degree * k + k * k,
-            )
-            block_mask[block] &= ~(1 << node)
-            block_degree[block] = old_degree
-
-    recurse(0, 0, 0, 0)
-    membership = _compact_membership(snapshot, list(best))
-    return CommunityAssignment(membership, metrics.modularity(snapshot, membership), "exhaustive", 0)
 
 
 def assignment_to_csv(snapshot: GraphSnapshot, assignment: CommunityAssignment) -> str:

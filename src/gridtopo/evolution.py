@@ -3,14 +3,19 @@
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
 A year whose graph equals the previous year's reuses that year's record:
-every column but ``year`` depends only on the graph and the seed.
+every column but ``year`` depends only on the graph and the seed.  So the
+distinct graphs can be computed in any order and in any process: where
+``os.fork`` exists they are split into up to ``MAX_WORKERS`` shares, and
+every share but the first runs in a forked child.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 from .communities import detect_communities
 from .graphs import GraphSnapshot, build_snapshot
@@ -25,6 +30,9 @@ from .metrics import (
     random_baselines,
     small_world_sigma,
 )
+
+# most processes that compute one range's records at once
+MAX_WORKERS = 8
 
 _RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, (f.name for f in fields(MetricsRecord)), strict=True))
 
@@ -131,17 +139,131 @@ def _checked_years(years: Sequence[int]) -> list[int]:
 
 def _yearly_records(
     log: TemporalGridLog, years: list[int], seed: int, *, modularity: bool = True
-) -> Iterator[MetricsRecord]:
+) -> list[MetricsRecord]:
     """One record per year, computed only when the graph differs from the previous year's."""
-    previous = record = None
+    distinct: list[GraphSnapshot] = []
+    graph_of_year = []  # index into distinct, per year
     for year in years:
         snapshot = build_snapshot(log, year)
-        if previous is not None and snapshot.same_graph(previous):
-            record = replace(record, year=year)
-        else:
-            record = compute_metrics_record(snapshot, seed, modularity=modularity)
-        previous = snapshot
-        yield record
+        if not distinct or not snapshot.same_graph(distinct[-1]):
+            distinct.append(snapshot)
+        graph_of_year.append(len(distinct) - 1)
+    records = _distinct_records(distinct, seed, modularity)
+    return [replace(records[i], year=year) for i, year in zip(graph_of_year, years)]
+
+
+def _worker_count(distinct: int) -> int:
+    """Processes for ``distinct`` graphs: one per usable CPU, at most MAX_WORKERS.
+
+    Only one where ``os.fork`` is missing, or where other threads run: a
+    forked child would inherit any lock they hold, held forever.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, distinct, MAX_WORKERS))
+
+
+def _shares(costs: Sequence[int], workers: int) -> list[list[int]]:
+    """Split the indices of ``costs`` into ``workers`` shares, longest processing time first.
+
+    Each index, costliest first, goes to the share with the least total
+    cost so far (ties to the lower share), and share 0 gets the costliest.
+    """
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        share = loads.index(min(loads))
+        shares[share].append(i)
+        loads[share] += costs[i]
+    return shares
+
+
+def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: bool) -> list[MetricsRecord]:
+    """One record per snapshot; every share but the first is computed in a forked child.
+
+    A child inherits the snapshots, so only its records cross its pipe.  An
+    error in any share is raised here, and every child is reaped on the
+    way out, whatever happens; one that is still running is killed first.
+    """
+    shares = _shares([s.num_nodes**2 for s in snapshots], _worker_count(len(snapshots)))
+
+    def compute(share: list[int]) -> list[MetricsRecord]:
+        return [compute_metrics_record(snapshots[i], seed, modularity=modularity) for i in share]
+
+    children = []  # (pid, read end of its pipe, share) until it is reaped
+    try:
+        for share in shares[1:]:
+            children.append((*_fork(compute, share), share))
+        done = [(shares[0], compute(shares[0]))]
+        while children:
+            pid, pipe, share = children[0]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            done.append((share, _unpickled(payload, status)))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    by_index = {i: record for share, share_records in done for i, record in zip(share, share_records)}
+    return [by_index[i] for i in range(len(snapshots))]
+
+
+def _fork(compute: Callable[[list[int]], list[MetricsRecord]], share: list[int]) -> tuple[int, BinaryIO]:
+    """Start a child that writes ``(True, compute(share))`` or ``(False, error)``, pickled, to a pipe."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, compute(share)))
+            except BaseException as exc:
+                payload = _pickled_error(exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``(False, exc)`` pickled; an error that does not survive pickling becomes a RuntimeError."""
+    import pickle
+
+    try:
+        payload = pickle.dumps((False, exc))
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    return payload
+
+
+def _unpickled(payload: bytes, status: int) -> list[MetricsRecord]:
+    """A child's records, or its error raised again."""
+    import pickle
+
+    if not payload:
+        raise RuntimeError(f"worker process ended with wait status {status} and sent no records")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:

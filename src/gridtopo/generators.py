@@ -15,6 +15,9 @@ from .graphs import GraphSnapshot
 
 GENERATOR_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
 _REWIRE_ATTEMPTS = 10000
+# most nodes a generator accepts: erdos_renyi draws all n(n-1)/2 pairs, so
+# 10^4 nodes (the largest national grid) take seconds and 10^8 would take days
+MAX_NODES = 10**4
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ def generate(spec: GeneratorSpec) -> GraphSnapshot:
 def _check_n(n: int) -> None:
     if n < 3:
         raise ValueError("generators need at least 3 nodes")
+    if n > MAX_NODES:
+        raise ValueError(f"generators accept at most {MAX_NODES} nodes, not {n}")
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> GraphSnapshot:

@@ -7,8 +7,6 @@ from typing import Hashable, Iterable, Iterator
 
 from .grid_log import TemporalGridLog, active_elements
 
-UNREACHABLE = -1
-
 
 class GraphSnapshot:
     """Simple undirected graph for one year.
@@ -56,9 +54,6 @@ class GraphSnapshot:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self._neighbors)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._neighbors[i]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as an (i, j) index pair with i < j."""
         for i, nbrs in enumerate(self._neighbors):
@@ -102,28 +97,6 @@ def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
     """Materialize the simple graph of elements in service during ``year``."""
     node_ids, edges = active_elements(log, year)
     return GraphSnapshot(node_ids, (e.endpoints for e in edges), year=year)
-
-
-def shortest_path_lengths(snapshot: GraphSnapshot, source: int) -> list[int]:
-    """Hop distances from ``source`` to every node (UNREACHABLE if none)."""
-    n = snapshot.num_nodes
-    if not 0 <= source < n:
-        raise ValueError(f"source index {source} out of range for {n} nodes")
-    dist = [UNREACHABLE] * n
-    dist[source] = 0
-    frontier = [source]
-    level = 0
-    neighbors = snapshot._neighbors
-    while frontier:
-        level += 1
-        next_frontier = []
-        for u in frontier:
-            for v in neighbors[u]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = level
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return dist
 
 
 def connected_components(snapshot: GraphSnapshot) -> ComponentPartition:

@@ -4,7 +4,8 @@ Nothing here may call the code paths it verifies: distances come from a
 Floyd-Warshall relaxation over a numpy matrix, the LCC's distance sum and
 diameter from one single-source BFS per node, components from
 union-find, modularity from the literal double-loop formula, greedy
-communities from a full rescan of every community pair per merge,
+communities from a full rescan of every community pair per merge, the
+best partition of a small graph from an exhaustive set-partition search,
 CCDF values from direct tail counting, CCDF fits from the numpy
 Gauss-Newton iteration that the pure-Python fit replaced, and time series
 from one full record per year, with no reuse of a repeated year's record.
@@ -23,8 +24,38 @@ from gridtopo.degree_fit import (
     FitNotConverged,
     FitResult,
 )
+from gridtopo.communities import CommunityAssignment, _compact_membership
 from gridtopo.evolution import compute_metrics_record
-from gridtopo.graphs import build_snapshot, connected_components, shortest_path_lengths
+from gridtopo.graphs import build_snapshot, connected_components
+from gridtopo.metrics import modularity
+
+UNREACHABLE = -1
+EXHAUSTIVE_MAX_NODES = 12
+
+
+def has_edge(snapshot, i: int, j: int) -> bool:
+    return j in snapshot.neighbors(i)
+
+
+def shortest_path_lengths(snapshot, source: int) -> list[int]:
+    """Hop distances from ``source`` to every node (UNREACHABLE if none), by one BFS."""
+    n = snapshot.num_nodes
+    if not 0 <= source < n:
+        raise ValueError(f"source index {source} out of range for {n} nodes")
+    dist = [UNREACHABLE] * n
+    dist[source] = 0
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        next_frontier = []
+        for u in frontier:
+            for v in snapshot.neighbors(u):
+                if dist[v] == UNREACHABLE:
+                    dist[v] = level
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return dist
 
 
 def floyd_warshall(snapshot) -> np.ndarray:
@@ -91,9 +122,66 @@ def brute_modularity(snapshot, membership) -> float:
     for i in range(n):
         for j in range(n):
             if membership[i] == membership[j]:
-                a_ij = 1.0 if snapshot.has_edge(i, j) else 0.0
+                a_ij = 1.0 if has_edge(snapshot, i, j) else 0.0
                 q += a_ij - degrees[i] * degrees[j] / two_e
     return q / two_e
+
+
+def exhaustive_best_partition(snapshot) -> CommunityAssignment:
+    """Best-modularity partition by enumerating all set partitions.
+
+    Guarded to 12 nodes; the search space is the Bell number of N.  Ties
+    keep the first partition found in restricted-growth enumeration
+    order.
+    """
+    n = snapshot.num_nodes
+    if n > EXHAUSTIVE_MAX_NODES:
+        raise ValueError(f"exhaustive search refused for more than {EXHAUSTIVE_MAX_NODES} nodes")
+    if snapshot.num_edges < 1:
+        raise ValueError("community detection undefined: graph has no edges")
+
+    two_e = 2 * snapshot.num_edges
+    degrees = snapshot.degrees()
+    masks = [0] * n
+    for i, j in snapshot.edges():
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+
+    assign = [0] * n
+    block_mask = [0] * n
+    block_degree = [0] * n
+    best_q = -float("inf")
+    best: tuple[int, ...] = ()
+
+    def recurse(node: int, num_blocks: int, intra2: int, degree_sq: int) -> None:
+        nonlocal best_q, best
+        if node == n:
+            q = intra2 / two_e - degree_sq / (two_e * two_e)
+            if q > best_q:
+                best_q = q
+                best = tuple(assign)
+            return
+        k = degrees[node]
+        mask = masks[node]
+        limit = min(num_blocks + 1, n)
+        for block in range(limit):
+            added_links = (mask & block_mask[block]).bit_count()
+            assign[node] = block
+            block_mask[block] |= 1 << node
+            old_degree = block_degree[block]
+            block_degree[block] = old_degree + k
+            recurse(
+                node + 1,
+                max(num_blocks, block + 1),
+                intra2 + 2 * added_links,
+                degree_sq + 2 * old_degree * k + k * k,
+            )
+            block_mask[block] &= ~(1 << node)
+            block_degree[block] = old_degree
+
+    recurse(0, 0, 0, 0)
+    membership = _compact_membership(snapshot, list(best))
+    return CommunityAssignment(membership, modularity(snapshot, membership), "exhaustive", 0)
 
 
 def reference_greedy_pass(snapshot, initial_ids) -> tuple[int, ...]:

@@ -12,8 +12,6 @@ import json
 import math
 import random
 
-import numpy as np
-
 from gridtopo import (
     GraphSnapshot,
     average_path_length,
@@ -33,16 +31,16 @@ from gridtopo import (
     parse_log,
     pearson,
     random_baselines,
-    shortest_path_lengths,
     small_world_sigma,
     to_edgelist,
     watts_strogatz,
 )
 from gridtopo.degree_fit import Ccdf
 from gridtopo.grid_log import active_elements, to_csv
+from gridtopo.metrics import path_stats
 
 from conftest import clique_union, demo_log, random_graph
-from oracles import brute_modularity, floyd_warshall
+from oracles import brute_modularity, floyd_warshall, has_edge, shortest_path_lengths, union_find_components
 
 
 def _sample_graphs(count: int, max_n: int, seed0: int) -> list[GraphSnapshot]:
@@ -175,7 +173,7 @@ def check_modularity_intra_edge_monotonicity() -> None:
             sum_before = 2 * snap.num_edges * modularity(snap, membership)
             for i in range(n - 1):
                 for j in range(i + 1, n):
-                    if membership[i] != membership[j] or snap.has_edge(i, j):
+                    if membership[i] != membership[j] or has_edge(snap, i, j):
                         continue
                     extended = GraphSnapshot(range(n), list(snap.edges()) + [(i, j)])
                     sum_after = 2 * extended.num_edges * modularity(extended, membership)
@@ -404,7 +402,7 @@ def check_generator_outputs_are_simple() -> None:
         assert sum(snap.degrees()) == 2 * snap.num_edges
         for i, j in snap.edges():
             assert i != j
-            assert snap.has_edge(j, i)
+            assert has_edge(snap, j, i)
 
 
 def check_ws_small_world_regime() -> None:
@@ -477,21 +475,19 @@ def check_cli_fit_round_trip() -> None:
 # shortest-path oracle agreement (shared with the acceptance suite)
 
 
-def check_bfs_matches_relaxation_oracle(num_graphs: int = 100) -> None:
+def check_path_stats_matches_relaxation_oracle(num_graphs: int = 100) -> None:
+    """``path_stats``'s LCC, distance sum and diameter equal Floyd-Warshall's."""
     for i in range(num_graphs):
         rng = random.Random(5000 + i)
         n = rng.randrange(2, 51)
         p = rng.uniform(0.02, 0.5)
         snap = random_graph(n, p, 6000 + i)
         expected = floyd_warshall(snap)
-        for source in range(n):
-            got = shortest_path_lengths(snap, source)
-            for target in range(n):
-                reference = expected[source, target]
-                if np.isinf(reference):
-                    assert got[target] == -1
-                else:
-                    assert got[target] == int(reference)
+        largest = union_find_components(snap)[0]
+        distances = [int(expected[a, b]) for a in largest for b in largest]
+        parts, distance_sum, longest = path_stats(snap)
+        assert parts.largest == largest
+        assert (distance_sum, longest) == (sum(distances), max(distances))
 
 
 def check_modularity_against_brute_oracle() -> None:

@@ -19,7 +19,6 @@ from gridtopo import (
     clustering_coefficient,
     degree_stats,
     detect_communities,
-    exhaustive_best_partition,
     fit_model,
     modularity,
     random_baselines,
@@ -30,6 +29,7 @@ from gridtopo.degree_fit import Ccdf
 
 import properties
 from conftest import clique_union, random_graph
+from oracles import exhaustive_best_partition
 from test_cli import run_cli
 
 
@@ -74,8 +74,8 @@ def test_criterion_02_average_degree_consistency():
 
 def test_criterion_03_shortest_path_oracle_equivalence():
     with Timer(10.0) as t:
-        properties.check_bfs_matches_relaxation_oracle(num_graphs=100)
-    report(3, "BFS equals exhaustive relaxation oracle on 100 seeded graphs", t)
+        properties.check_path_stats_matches_relaxation_oracle(num_graphs=100)
+    report(3, "path_stats distance sum and diameter equal the relaxation oracle on 100 seeded graphs", t)
 
 
 def test_criterion_04_modularity_exactness():

@@ -14,6 +14,7 @@ from gridtopo import cli, evolution
 from gridtopo.cli import MAX_RESTARTS, MAX_YEAR_SPAN, _year_range, main
 from gridtopo.degree_fit import FitResult
 from gridtopo.evolution import pearson
+from gridtopo.generators import MAX_NODES
 
 import properties
 
@@ -292,6 +293,49 @@ def test_cli_never_imports_numpy(tmp_path, fixture_csv_paths):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["preferred"] in ("power_law", "exponential")
+
+
+def test_start_up_and_single_graph_commands_load_no_pickle_or_multiprocessing(tmp_path, fixture_csv_paths):
+    log = log_args(fixture_csv_paths)
+    commands = [
+        ["snapshot", *log, "--year", "1970", "--out", str(tmp_path / "snapshot.csv")],
+        ["timeseries", *log, "--from", "1970", "--to", "1970", "--out", str(tmp_path / "series.csv")],
+    ]
+    script = (
+        "import sys, gridtopo.cli\n"
+        "def loaded():\n"
+        "    return sorted({'pickle', 'multiprocessing'} & set(sys.modules))\n"
+        "assert loaded() == [], loaded()\n"
+        f"for argv in {commands!r}:\n"
+        "    assert gridtopo.cli.main(argv) == 0\n"
+        "    assert loaded() == [], (argv[0], loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["snapshot", "--year", "1970"],
+        ["fit", "--year", "1980"],
+        ["communities", "--year", "1975"],
+        ["timeseries", "--from", "1975", "--to", "1975"],
+    ],
+)
+def test_single_graph_commands_never_fork(capsys, monkeypatch, fixture_csv_paths, command):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, _, err = run_cli(capsys, command[0], *log_args(fixture_csv_paths), *command[1:])
+    assert (code, err) == (0, "")
+
+
+def test_generate_node_count_is_bounded(capsys):
+    code, out, err = run_cli(capsys, "generate", "--kind", "erdos_renyi", "--n", "100000000", "--p", "0.5")
+    assert (code, out) == (1, "")
+    assert err == f"error: generators accept at most {MAX_NODES} nodes, not 100000000\n"
 
 
 def test_unknown_flag_exits_nonzero(fixture_csv_paths):

@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo.communities import (
-    _greedy_pass,
-    assignment_to_csv,
-    detect_communities,
-    exhaustive_best_partition,
-)
+from gridtopo.communities import _greedy_pass, assignment_to_csv, detect_communities
 from gridtopo.generators import watts_strogatz
 from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.metrics import modularity
 
 import properties
 from conftest import clique_union, random_graph
-from oracles import reference_greedy_pass
+from oracles import exhaustive_best_partition, reference_greedy_pass
 
 
 def test_two_triangles_recovered_as_communities():

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import os
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -79,12 +82,13 @@ def test_record_makes_one_components_pass_and_no_single_source_bfs(monkeypatch, 
     components = counted("components", graphs.connected_components)
     monkeypatch.setattr(metrics, "connected_components", components)
     monkeypatch.setattr(evolution, "connected_components", components, raising=False)
-    monkeypatch.setattr(graphs, "shortest_path_lengths", counted("bfs", graphs.shortest_path_lengths))
     record = compute_metrics_record(build_snapshot(fixture_log, 1970))
     # 1970 has two components; L and d of the 11-node LCC come from one
-    # multi-source sweep, not from a single-source BFS per LCC node
+    # multi-source sweep, not from a single-source BFS per LCC node: that
+    # BFS is only an oracle (tests/oracles.py), and no package module has one
     assert (record.component_count, record.largest_component_size, record.num_nodes) == (2, 11, 12)
-    assert (calls["components"], calls["bfs"]) == (1, 0)
+    assert calls["components"] == 1
+    assert not any(hasattr(module, "shortest_path_lengths") for module in (graphs, metrics, evolution))
 
 
 def test_timeseries_monotone_growth_without_decommissions():
@@ -184,6 +188,8 @@ def test_timeseries_equals_reference_on_churn_logs(seed):
 def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, communities):
     log = churn_log(1)
     expected = MetricTimeSeries(tuple(CHURN_YEARS), reference_timeseries(log, CHURN_YEARS, 42)).metric(metric)
+    # calls made in forked children are not counted here, so compute in process
+    monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)
     calls = Counter()
     counted_calls(monkeypatch, evolution, "compute_metrics_record", calls)
     counted_calls(monkeypatch, evolution, "detect_communities", calls)
@@ -195,6 +201,151 @@ def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypa
     assert calls["compute_metrics_record"] == 35
     assert calls["detect_communities"] == communities
     assert report.metric_values == tuple(v for v in expected if v is not None)
+
+
+def forced_workers(workers):
+    """Patch the worker count, so the fork path runs whatever the CPU count."""
+    return mock.patch.object(evolution, "_worker_count", lambda distinct: min(workers, distinct))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_records_equal_reference_on_the_fixture(fixture_log, workers):
+    years = range(1950, 1981)
+    with forced_workers(workers):
+        records = compute_timeseries(fixture_log, years).records
+    assert records == reference_timeseries(fixture_log, years, 42)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_forked_records_equal_reference_on_churn_logs(seed):
+    log = churn_log(seed)
+    with forced_workers(3):
+        records = compute_timeseries(log, CHURN_YEARS, seed).records
+    assert records == reference_timeseries(log, CHURN_YEARS, seed)
+    assert_no_child_left()
+
+
+@settings(max_examples=30, deadline=None)
+@given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
+def test_forked_records_equal_reference_on_logs_with_repeated_years(log, years):
+    with forced_workers(2):
+        assert compute_timeseries(log, years, seed=3).records == reference_timeseries(log, years, 3)
+
+
+@pytest.mark.parametrize("metric", ["sigma", "Q"])
+def test_forked_correlation_equals_the_in_process_one(metric):
+    log = churn_log(2)
+    with forced_workers(1):
+        expected = correlate_with_line_count(log, metric, [220, 400], True, CHURN_YEARS)
+    with forced_workers(3):
+        assert correlate_with_line_count(log, metric, [220, 400], True, CHURN_YEARS) == expected
+    assert_no_child_left()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6)), st.integers(1, 8))
+def test_shares_partition_the_indices_costliest_first(costs, workers):
+    shares = evolution._shares(costs, workers)
+    assert len(shares) == workers
+    assert sorted(i for share in shares for i in share) == list(range(len(costs)))
+    if costs:
+        assert costs[shares[0][0]] == max(costs)
+
+
+def test_one_worker_computes_every_graph_in_process(monkeypatch, fixture_log):
+    def no_fork():
+        raise AssertionError("forked with one worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with forced_workers(1):
+        assert compute_timeseries(fixture_log, range(1950, 1981)).records == reference_timeseries(
+            fixture_log, range(1950, 1981), 42
+        )
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its args: unpickling it fails."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def raising_in(monkeypatch, where, error):
+    """Make compute_metrics_record raise what ``error()`` returns, in the parent or the children only."""
+    parent = os.getpid()
+    compute = evolution.compute_metrics_record
+
+    def raising(snapshot, *args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise error()
+        return compute(snapshot, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "compute_metrics_record", raising)
+
+
+@pytest.mark.parametrize(
+    "where, error, expected, message",
+    [
+        ("child", lambda: ValueError("bad year"), ValueError, "^bad year$"),
+        ("child", lambda: KeyError("label"), KeyError, "^'label'$"),
+        # pickles, but unpickling fails
+        ("child", lambda: TwoArgumentError("not", "rebuilt"), RuntimeError, "^TwoArgumentError: not rebuilt$"),
+        # a class no module holds cannot be pickled
+        ("child", lambda: type("LocalError", (Exception,), {})("local"), RuntimeError, "^LocalError: local$"),
+        # the child ends before it sends anything
+        ("child", lambda: os._exit(3), RuntimeError, "^worker process ended with wait status 768 and sent no"),
+        ("parent", lambda: ValueError("bad year"), ValueError, "^bad year$"),
+        ("parent", KeyboardInterrupt, KeyboardInterrupt, "^$"),
+    ],
+)
+def test_an_error_in_any_share_is_raised_and_every_child_reaped(
+    monkeypatch, fixture_log, where, error, expected, message
+):
+    raising_in(monkeypatch, where, error)
+    with forced_workers(3), pytest.raises(expected, match=message):
+        compute_timeseries(fixture_log, range(1950, 1981))
+    assert_no_child_left()
+
+
+def test_worker_count_is_capped_without_starting_processes(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
+    assert evolution._worker_count(70) == evolution.MAX_WORKERS
+    assert evolution._worker_count(3) == 3
+    assert evolution._worker_count(1) == 1
+    assert len(evolution._shares([1] * 70, evolution._worker_count(70))) == evolution.MAX_WORKERS
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    assert evolution._worker_count(70) == evolution.MAX_WORKERS
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert evolution._worker_count(70) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    monkeypatch.delattr(os, "fork")
+    assert evolution._worker_count(70) == 1
+
+
+def test_no_fork_while_other_threads_run(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert evolution._worker_count(70) == 2
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert evolution._worker_count(70) == 1
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert evolution._worker_count(70) == 2
 
 
 def test_timeseries_rejects_bad_ranges(fixture_log):

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
+from gridtopo import generators
 from gridtopo.generators import (
+    MAX_NODES,
     GeneratorSpec,
     barabasi_albert,
     erdos_renyi,
@@ -109,3 +112,21 @@ def test_invariant_ws_small_world_regime():
 
 def test_invariant_er_clustering_baseline():
     properties.check_er_clustering_near_baseline()
+
+
+def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError(f"sampler started (seed {seed})")
+
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=no_draws))
+    assert MAX_NODES >= 10**4  # a national grid's node count
+    for make in (
+        lambda n: erdos_renyi(n, 0.5, 1),
+        lambda n: watts_strogatz(n, 4, 0.1, 1),
+        lambda n: barabasi_albert(n, 2, 1),
+    ):
+        too_many = f"^generators accept at most {MAX_NODES} nodes, not {MAX_NODES + 1}$"
+        with pytest.raises(ValueError, match=too_many):
+            make(MAX_NODES + 1)
+        with pytest.raises(AssertionError, match="sampler started"):
+            make(MAX_NODES)

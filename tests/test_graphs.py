@@ -3,18 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridtopo.graphs import (
-    UNREACHABLE,
-    GraphSnapshot,
-    build_snapshot,
-    connected_components,
-    shortest_path_lengths,
-    to_edgelist,
-)
+from gridtopo.graphs import GraphSnapshot, build_snapshot, connected_components, to_edgelist
 
 import properties
 from conftest import random_graph
-from oracles import floyd_warshall, union_find_components
+from oracles import UNREACHABLE, floyd_warshall, shortest_path_lengths, union_find_components
 
 
 def path_graph(n):
