@@ -325,9 +325,9 @@ def correlate_with_line_count(
     """
     years = _checked_years(years)
     attr = _record_field(metric)
+    counts = line_count_series(log, voltages, domestic_only, years)
     records = _yearly_records(log, years, seed, modularity=attr == "modularity_q")
     metric_values = [getattr(record, attr) for record in records]
-    counts = line_count_series(log, voltages, domestic_only, years)
     used_years, used_values, used_counts, dropped = [], [], [], []
     for year, value, count in zip(years, metric_values, counts):
         if value is None:

@@ -13,26 +13,22 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 NODE_KINDS = ("plant", "substation", "transformer")
 NODES_COLUMNS = ("id", "name", "kind", "commissioned", "decommissioned", "domestic")
 EDGES_COLUMNS = ("id", "node_a", "node_b", "voltage_kv", "commissioned", "decommissioned", "domestic")
+_DOMESTIC = {"true": True, "false": False}
 
 
 class GridLogError(ValueError):
     """Malformed or inconsistent grid-log data."""
 
 
-def _active(commissioned: int, decommissioned: int | None, year: int) -> bool:
-    return commissioned <= year and (decommissioned is None or year < decommissioned)
-
-
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     id: str
     name: str
     kind: str
@@ -40,12 +36,8 @@ class NodeRecord:
     decommissioned: int | None
     domestic: bool
 
-    def active_in(self, year: int) -> bool:
-        return _active(self.commissioned, self.decommissioned, year)
 
-
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     id: str
     node_a: str
     node_b: str
@@ -60,9 +52,6 @@ class EdgeRecord:
         if self.node_a <= self.node_b:
             return (self.node_a, self.node_b)
         return (self.node_b, self.node_a)
-
-    def active_in(self, year: int) -> bool:
-        return _active(self.commissioned, self.decommissioned, year)
 
 
 @dataclass(frozen=True)
@@ -92,146 +81,142 @@ class TemporalGridLog:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# Each table is read in one loop that unpacks a row once and checks its
+# fields in a fixed order, so the first fault in the file is the one
+# reported.  The header is row 1.  Blank rows are skipped; a row with the
+# wrong field count, an empty id or an id seen before is an error, and a
+# CSV syntax error names the row after the last one read.
 
 
-def _rows(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
-    """Checked data rows of one table as (row number, stripped id, fields).
+def _table(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[list[str]]:
+    """CSV rows of one table after its checked header.
 
-    The header is row 1 and must name ``columns``.  Blank rows are
-    skipped; a row with the wrong field count, an empty id or an id seen
-    before is an error.  CSV syntax errors name the row.  One leading
-    byte-order mark (U+FEFF) is dropped, so BOM-prefixed text and files
-    parse like the plain originals.
+    One leading byte-order mark (U+FEFF) is dropped, so BOM-prefixed text
+    and files parse like the plain originals.
     """
     lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,), lines))
-    seen: set[str] = set()
-    row_num = 0  # the last row read, so a CSV syntax error names the next one
     try:
         header = next(reader, None)
-        row_num = 1
-        if header is None or tuple(cell.strip() for cell in header) != columns:
-            raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise GridLogError(f"{label} row {row_num}: expected {len(columns)} fields, got {len(row)}")
-            row_id = row[0].strip()
-            if not row_id:
-                raise GridLogError(f"{label} row {row_num}: empty id")
-            if row_id in seen:
-                raise GridLogError(f"{label} row {row_num}: duplicate {label[:-1]} id {row_id!r}")
-            seen.add(row_id)
-            yield row_num, row_id, row
     except csv.Error as exc:
-        raise GridLogError(f"{label} row {row_num + 1}: {exc}") from None
+        raise GridLogError(f"{label} row 1: {exc}") from None
+    if header is None or tuple(cell.strip() for cell in header) != columns:
+        raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
+    return reader
 
 
-def _parse_year(text: str, label: str, row_num: int) -> int:
+def _skip_blank(row: list[str], label: str, row_num: int, width: int) -> None:
+    """Return for a blank row; raise for a wrong field count or an empty id."""
+    if any(cell.strip() for cell in row):
+        if len(row) != width:
+            raise GridLogError(f"{label} row {row_num}: expected {width} fields, got {len(row)}")
+        raise GridLogError(f"{label} row {row_num}: empty id")
+
+
+def _parse_nodes(source: str | TextIO) -> dict[str, NodeRecord]:
+    """Node records by id, in file order."""
+    by_id: dict[str, NodeRecord] = {}
+    row_num = 1
     try:
-        return int(text.strip())
-    except ValueError:
-        raise GridLogError(f"{label} row {row_num}: invalid year {text!r}") from None
-
-
-def _parse_opt_year(text: str, label: str, row_num: int) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
-    return _parse_year(text, label, row_num)
-
-
-def _parse_bool(text: str, label: str, row_num: int) -> bool:
-    value = text.strip().lower()
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise GridLogError(f"{label} row {row_num}: domestic must be true or false, got {text!r}")
-
-
-def _parse_nodes(source: str | TextIO) -> list[NodeRecord]:
-    records: list[NodeRecord] = []
-    for row_num, node_id, row in _rows(source, "nodes", NODES_COLUMNS):
-        kind = row[2].strip()
-        if kind not in NODE_KINDS:
-            raise GridLogError(f"nodes row {row_num}: unknown kind {kind!r}")
-        commissioned = _parse_year(row[3], "nodes", row_num)
-        decommissioned = _parse_opt_year(row[4], "nodes", row_num)
-        if decommissioned is not None and decommissioned < commissioned:
-            raise GridLogError(
-                f"nodes row {row_num}: node {node_id!r} decommissioned {decommissioned} "
-                f"before commissioned {commissioned}"
-            )
-        records.append(
-            NodeRecord(
-                id=node_id,
-                name=row[1].strip(),
-                kind=kind,
-                commissioned=commissioned,
-                decommissioned=decommissioned,
-                domestic=_parse_bool(row[5], "nodes", row_num),
-            )
-        )
-    return records
+        for row_num, row in enumerate(_table(source, "nodes", NODES_COLUMNS), start=2):
+            if len(row) != 6 or not (node_id := row[0].strip()):
+                _skip_blank(row, "nodes", row_num, 6)
+                continue
+            if node_id in by_id:
+                raise GridLogError(f"nodes row {row_num}: duplicate node id {node_id!r}")
+            _, name, kind, start, end, domestic = row
+            kind = kind.strip()
+            if kind not in NODE_KINDS:
+                raise GridLogError(f"nodes row {row_num}: unknown kind {kind!r}")
+            try:
+                commissioned = int(start)
+            except ValueError:
+                raise GridLogError(f"nodes row {row_num}: invalid year {start!r}") from None
+            decommissioned = None
+            if end := end.strip():
+                try:
+                    decommissioned = int(end)
+                except ValueError:
+                    raise GridLogError(f"nodes row {row_num}: invalid year {end!r}") from None
+                if decommissioned < commissioned:
+                    raise GridLogError(
+                        f"nodes row {row_num}: node {node_id!r} decommissioned {decommissioned} "
+                        f"before commissioned {commissioned}"
+                    )
+            flag = _DOMESTIC.get(domestic.strip().lower())
+            if flag is None:
+                raise GridLogError(f"nodes row {row_num}: domestic must be true or false, got {domestic!r}")
+            by_id[node_id] = NodeRecord(node_id, name.strip(), kind, commissioned, decommissioned, flag)
+    except csv.Error as exc:
+        raise GridLogError(f"nodes row {row_num + 1}: {exc}") from None
+    return by_id
 
 
 def _parse_edges(source: str | TextIO, nodes_by_id: dict[str, NodeRecord]) -> list[EdgeRecord]:
+    """Edge records in file order; a live edge lies within both endpoints' lifetimes."""
     records: list[EdgeRecord] = []
-    for row_num, edge_id, row in _rows(source, "edges", EDGES_COLUMNS):
-        node_a, node_b = row[1].strip(), row[2].strip()
-        for endpoint in (node_a, node_b):
-            if endpoint not in nodes_by_id:
-                raise GridLogError(f"edges row {row_num}: unknown endpoint id {endpoint!r}")
-        if node_a == node_b:
-            raise GridLogError(f"edges row {row_num}: self-loop on {node_a!r}")
-        try:
-            voltage = int(row[3].strip())
-        except ValueError:
-            raise GridLogError(f"edges row {row_num}: invalid voltage {row[3]!r}") from None
-        if voltage <= 0:
-            raise GridLogError(f"edges row {row_num}: voltage must be positive, got {voltage}")
-        commissioned = _parse_year(row[4], "edges", row_num)
-        decommissioned = _parse_opt_year(row[5], "edges", row_num)
-        if decommissioned is not None and decommissioned < commissioned:
-            raise GridLogError(
-                f"edges row {row_num}: edge {edge_id!r} decommissioned {decommissioned} "
-                f"before commissioned {commissioned}"
-            )
-        record = EdgeRecord(
-            id=edge_id,
-            node_a=node_a,
-            node_b=node_b,
-            voltage_kv=voltage,
-            commissioned=commissioned,
-            decommissioned=decommissioned,
-            domestic=_parse_bool(row[6], "edges", row_num),
-        )
-        _check_edge_within_endpoints(record, nodes_by_id, row_num)
-        records.append(record)
+    seen: set[str] = set()
+    row_num = 1
+    try:
+        for row_num, row in enumerate(_table(source, "edges", EDGES_COLUMNS), start=2):
+            if len(row) != 7 or not (edge_id := row[0].strip()):
+                _skip_blank(row, "edges", row_num, 7)
+                continue
+            if edge_id in seen:
+                raise GridLogError(f"edges row {row_num}: duplicate edge id {edge_id!r}")
+            seen.add(edge_id)
+            _, node_a, node_b, voltage, start, end, domestic = row
+            node_a, node_b = node_a.strip(), node_b.strip()
+            if (a := nodes_by_id.get(node_a)) is None:
+                raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_a!r}")
+            if (b := nodes_by_id.get(node_b)) is None:
+                raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_b!r}")
+            if node_a == node_b:
+                raise GridLogError(f"edges row {row_num}: self-loop on {node_a!r}")
+            try:
+                voltage_kv = int(voltage)
+            except ValueError:
+                raise GridLogError(f"edges row {row_num}: invalid voltage {voltage!r}") from None
+            if voltage_kv <= 0:
+                raise GridLogError(f"edges row {row_num}: voltage must be positive, got {voltage_kv}")
+            try:
+                commissioned = int(start)
+            except ValueError:
+                raise GridLogError(f"edges row {row_num}: invalid year {start!r}") from None
+            decommissioned = None
+            if end := end.strip():
+                try:
+                    decommissioned = int(end)
+                except ValueError:
+                    raise GridLogError(f"edges row {row_num}: invalid year {end!r}") from None
+                if decommissioned < commissioned:
+                    raise GridLogError(
+                        f"edges row {row_num}: edge {edge_id!r} decommissioned {decommissioned} "
+                        f"before commissioned {commissioned}"
+                    )
+            flag = _DOMESTIC.get(domestic.strip().lower())
+            if flag is None:
+                raise GridLogError(f"edges row {row_num}: domestic must be true or false, got {domestic!r}")
+            if decommissioned is None or decommissioned > commissioned:  # an empty lifetime is never active
+                for endpoint_id, node in ((node_a, a), (node_b, b)):
+                    if commissioned < node.commissioned:
+                        raise GridLogError(
+                            f"edges row {row_num}: edge {edge_id!r} commissioned {commissioned} "
+                            f"before endpoint {endpoint_id!r} ({node.commissioned})"
+                        )
+                    if node.decommissioned is not None and (
+                        decommissioned is None or decommissioned > node.decommissioned
+                    ):
+                        raise GridLogError(
+                            f"edges row {row_num}: edge {edge_id!r} outlives endpoint {endpoint_id!r} "
+                            f"(decommissioned {node.decommissioned})"
+                        )
+            records.append(EdgeRecord(edge_id, node_a, node_b, voltage_kv, commissioned, decommissioned, flag))
+    except csv.Error as exc:
+        raise GridLogError(f"edges row {row_num + 1}: {exc}") from None
     return records
-
-
-def _check_edge_within_endpoints(edge: EdgeRecord, nodes_by_id: dict[str, NodeRecord], row_num: int) -> None:
-    """An edge may only be active while both endpoints are."""
-    if edge.decommissioned is not None and edge.decommissioned <= edge.commissioned:
-        return  # empty lifetime, never active
-    for endpoint_id in (edge.node_a, edge.node_b):
-        node = nodes_by_id[endpoint_id]
-        if edge.commissioned < node.commissioned:
-            raise GridLogError(
-                f"edges row {row_num}: edge {edge.id!r} commissioned {edge.commissioned} "
-                f"before endpoint {endpoint_id!r} ({node.commissioned})"
-            )
-        if node.decommissioned is not None and (
-            edge.decommissioned is None or edge.decommissioned > node.decommissioned
-        ):
-            raise GridLogError(
-                f"edges row {row_num}: edge {edge.id!r} outlives endpoint {endpoint_id!r} "
-                f"(decommissioned {node.decommissioned})"
-            )
 
 
 def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[CircuitMerge]]:
@@ -240,17 +225,16 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
     The surviving record keeps the earliest commission, latest
     decommission (open end wins), highest voltage, and is domestic only
     when every constituent circuit is.  Records with empty lifetimes are
-    never active and pass through untouched.
+    never active and pass through untouched, as do lone circuits.
     """
-    by_pair: dict[tuple[str, str], list[EdgeRecord]] = defaultdict(list)
-    inert: list[EdgeRecord] = []
+    merged: list[EdgeRecord] = []
+    by_pair: dict[tuple[str, str], list[EdgeRecord]] = {}
     for edge in edges:
-        if edge.decommissioned is not None and edge.decommissioned <= edge.commissioned:
-            inert.append(edge)
+        _, node_a, node_b, _, commissioned, decommissioned, _ = edge
+        if decommissioned is not None and decommissioned <= commissioned:
+            merged.append(edge)
         else:
-            by_pair[edge.endpoints].append(edge)
-
-    merged: list[EdgeRecord] = list(inert)
+            by_pair.setdefault((node_a, node_b) if node_a <= node_b else (node_b, node_a), []).append(edge)
     notes: list[CircuitMerge] = []
 
     def flush(cluster: list[EdgeRecord], end: int | None) -> None:
@@ -258,8 +242,7 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
             merged.append(cluster[0])
             return
         first = cluster[0]
-        combined = replace(
-            first,
+        combined = first._replace(
             decommissioned=end,
             voltage_kv=max(e.voltage_kv for e in cluster),
             domestic=all(e.domestic for e in cluster),
@@ -276,8 +259,8 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
             )
         )
 
-    for pair in sorted(by_pair):
-        group = sorted(by_pair[pair], key=lambda e: (e.commissioned, e.id))
+    for pair in sorted(pair for pair, group in by_pair.items() if len(group) > 1):
+        group = sorted(by_pair[pair], key=attrgetter("commissioned", "id"))
         cluster = [group[0]]
         end = group[0].decommissioned
         for edge in group[1:]:
@@ -290,8 +273,8 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
                 cluster = [edge]
                 end = edge.decommissioned
         flush(cluster, end)
-
-    merged.sort(key=lambda e: e.id)
+    merged.extend(group[0] for group in by_pair.values() if len(group) == 1)
+    merged.sort(key=attrgetter("id"))
     return merged, notes
 
 
@@ -302,12 +285,10 @@ def parse_log(nodes_source: str | TextIO, edges_source: str | TextIO) -> Tempora
     schemas.  Raises GridLogError naming the offending row on any
     malformed or inconsistent input.
     """
-    nodes = _parse_nodes(nodes_source)
-    nodes_by_id = {n.id: n for n in nodes}
-    edges = _parse_edges(edges_source, nodes_by_id)
-    merged, notes = _merge_parallel(edges)
-    nodes.sort(key=lambda n: n.id)
-    return TemporalGridLog(nodes=tuple(nodes), edges=tuple(merged), merges=tuple(notes))
+    nodes_by_id = _parse_nodes(nodes_source)
+    merged, notes = _merge_parallel(_parse_edges(edges_source, nodes_by_id))
+    nodes = tuple(nodes_by_id[node_id] for node_id in sorted(nodes_by_id))
+    return TemporalGridLog(nodes=nodes, edges=tuple(merged), merges=tuple(notes))
 
 
 def load_log(nodes_path: str | Path, edges_path: str | Path) -> TemporalGridLog:
@@ -361,9 +342,18 @@ def active_elements(log: TemporalGridLog, year: int) -> tuple[set[str], list[Edg
     An edge counts only when both endpoints are also active.  Years
     outside the log's range simply yield nothing.
     """
-    active_nodes = {n.id for n in log.nodes if n.active_in(year)}
+    active_nodes = {
+        n.id
+        for n in log.nodes
+        if n.commissioned <= year and (n.decommissioned is None or year < n.decommissioned)
+    }
     active_edges = [
-        e for e in log.edges if e.active_in(year) and e.node_a in active_nodes and e.node_b in active_nodes
+        e
+        for e in log.edges
+        if e.commissioned <= year
+        and (e.decommissioned is None or year < e.decommissioned)
+        and e.node_a in active_nodes
+        and e.node_b in active_nodes
     ]
     return active_nodes, active_edges
 

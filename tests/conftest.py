@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from gridtopo import GraphSnapshot, TemporalGridLog, load_log
 from gridtopo.data import expected_metrics_path, fixture_paths
+
+BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 
 
 def random_graph(n: int, p: float, seed: int) -> GraphSnapshot:
@@ -30,6 +35,19 @@ def clique_union(sizes) -> GraphSnapshot:
 def demo_log() -> TemporalGridLog:
     nodes, edges = fixture_paths()
     return load_log(nodes, edges)
+
+
+@functools.cache
+def churn_csv(seed: int) -> tuple[str, str]:
+    """Nodes and edges CSV text of the benchmark's 400-node churn log."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return gen.to_csv(gen.generate(400, seed, churn=True))
 
 
 @pytest.fixture(scope="session")

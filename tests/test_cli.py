@@ -234,6 +234,24 @@ def test_correlate_unknown_metric_fails_before_any_record(capsys, monkeypatch, f
     assert (code, out, err) == (1, "", "error: unknown metric 'bogus'\n")
 
 
+def test_correlate_empty_voltage_filter_fails_before_any_record(capsys, monkeypatch, fixture_csv_paths):
+    records = []
+    compute = evolution.compute_metrics_record
+
+    def counted(*args, **kwargs):
+        records.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)  # every record in this process
+    monkeypatch.setattr(evolution, "compute_metrics_record", counted)
+    code, out, err = run_cli(
+        capsys, "correlate", *log_args(fixture_csv_paths), "--metric", "Q",
+        "--voltages", ",", "--from", "1950", "--to", "1980",
+    )
+    assert (code, out, err) == (1, "", "error: voltage filter must not be empty\n")
+    assert records == []
+
+
 def test_communities_restarts_are_bounded(capsys, monkeypatch, fixture_csv_paths):
     restarts = []
     one_pass = cli.detect_communities

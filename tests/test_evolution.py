@@ -1,12 +1,9 @@
 from __future__ import annotations
 
 import functools
-import importlib.util
 import os
-import sys
 import threading
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -27,9 +24,9 @@ from gridtopo.grid_log import parse_log
 from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord
 
 import properties
+from conftest import churn_csv
 from oracles import reference_timeseries
 
-BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
 CHURN_YEARS = range(1950, 2020)
 
 
@@ -128,14 +125,7 @@ def counted_calls(monkeypatch, module, name, calls):
 @functools.cache
 def churn_log(seed):
     """The benchmark's 400-node churn log: every odd year repeats the graph of the year before."""
-    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(gen)
-    finally:
-        del sys.modules[spec.name]
-    return parse_log(*gen.to_csv(gen.generate(400, seed, churn=True)))
+    return parse_log(*churn_csv(seed))
 
 
 EVENT_YEARS = (1950, 1952, 1955)

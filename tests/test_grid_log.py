@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,16 +22,22 @@ from gridtopo.grid_log import (
 )
 
 import properties
+from conftest import churn_csv
+from oracles import reference_parse_log
 
 NODES_HEADER = "id,name,kind,commissioned,decommissioned,domestic\n"
 EDGES_HEADER = "id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic\n"
 
 
-def make_log(node_rows, edge_rows):
-    return parse_log(
+def log_text(node_rows, edge_rows):
+    return (
         NODES_HEADER + "".join(r + "\n" for r in node_rows),
         EDGES_HEADER + "".join(r + "\n" for r in edge_rows),
     )
+
+
+def make_log(node_rows, edge_rows):
+    return parse_log(*log_text(node_rows, edge_rows))
 
 
 def test_minimal_valid_log():
@@ -359,17 +367,20 @@ def test_canonical_csv_round_trips_any_valid_log(sources):
     assert to_csv(reparsed) == canonical
 
 
+_STRAY = {"quote": '"', "space": " ", "bom": "\ufeff"}
+
+
 def _mutate(text: str, rng: random.Random) -> str:
     """One random edit: drop or duplicate a character or a line, swap two
-    fields of a line, add a stray quote, or truncate."""
-    op = rng.choice(("drop_char", "dup_char", "drop_line", "dup_line", "swap_fields", "quote", "truncate"))
+    fields of a line, add a stray quote, space or byte-order mark, or truncate."""
+    op = rng.choice(("drop_char", "dup_char", "drop_line", "dup_line", "swap_fields", "truncate", *_STRAY))
     at = rng.randrange(len(text) + 1)
     if op == "drop_char":
         return text[:at] + text[at + 1 :]
     if op == "dup_char":
         return text[:at] + text[at : at + 1] + text[at:]
-    if op == "quote":
-        return text[:at] + '"' + text[at:]
+    if op in _STRAY:
+        return text[:at] + _STRAY[op] + text[at:]
     if op == "truncate":
         return text[:at]
     lines = text.splitlines(keepends=True)
@@ -423,6 +434,93 @@ def test_mutated_fixture_parses_or_fails_with_one_error_line(capsys, tmp_path, f
         code = main(["timeseries", *argv])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def _outcome(parse, nodes_source, edges_source):
+    """The canonical CSV and the merges of a parsed log, or the text of its GridLogError."""
+    try:
+        log = parse(nodes_source, edges_source)
+    except GridLogError as exc:
+        return str(exc)
+    return to_csv(log), log.merges
+
+
+@pytest.mark.parametrize("source", ["fixture", "churn-400 seed 1", "churn-400 seed 2"])
+def test_one_pass_parse_equals_the_reference_on_mutants(fixture_csv_paths, source):
+    if source == "fixture":
+        texts = [path.read_text(encoding="utf-8") for path in fixture_csv_paths]
+    else:
+        texts = churn_csv(int(source[-1]))
+    outcomes = Counter()
+    for nodes_csv, edges_csv in mutation_corpus(*texts):
+        expected = _outcome(reference_parse_log, nodes_csv, edges_csv)
+        assert _outcome(parse_log, nodes_csv, edges_csv) == expected, (nodes_csv, edges_csv)
+        outcomes["error" if isinstance(expected, str) else "parsed"] += 1
+    assert min(outcomes["error"], outcomes["parsed"]) >= 20, outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_log_csv(), st.randoms(use_true_random=False))
+def test_one_pass_parse_equals_the_reference_on_mutated_generated_logs(sources, rng):
+    pair = list(sources)
+    side = rng.randrange(2)
+    for _ in range(rng.randint(0, 3)):
+        if pair[side]:
+            pair[side] = _mutate(pair[side], rng)
+    assert _outcome(parse_log, *pair) == _outcome(reference_parse_log, *pair)
+
+
+# Rows on which more than one check fails, or that only look wrong: the
+# first check in the fixed order names the error, or the row parses.
+_A_B = ["A,A,plant,1950,,true", "B,B,plant,1950,,true"]
+_ODD_ROWS = [
+    (["A,A,windmill,19x0,,maybe"], []),
+    (["A,A,plant, 19x0 ,,true"], []),
+    (["A,A,plant,1950, 19x0 ,true"], []),
+    (["A,A,plant,1980,1970,maybe"], []),
+    (["A,A,plant,1950,,TRUE ", " , ,", "B, B ,plant , 1950 , 1990 , False"], ["e1, A , B ,220,1960, 1980 , True"]),
+    (["A,A,plant,1950,,true", "B,B,plant,1950,1990,true"], ["e1,A,B,220,1960,,true"]),
+    (_A_B, ["e1,X,X,0,19x0,,maybe"]),
+    (_A_B, ["e1,A,A,0,1950,,true"]),
+    (_A_B, ["e1,A,B,0,19x0,,maybe"]),
+    (_A_B, ["e1,A,B, 220 , 19x0 ,,true"]),
+    (_A_B, ["e1,A,B,220,1960,1955,maybe"]),
+    (_A_B, ["e1,A,B,220,1940,1940,true", "e2,A,B,220,1940,1940,true"]),
+    (_A_B, ["e1,A,B,220,1940,,true"]),
+    (_A_B, ["e1,A,B,220,1960,,true", "e2,A,B,220,1960,1970,true", "e3,B,A,400,1965,,false"]),
+    (_A_B, ["e1,A,B,220,1950,1960,true", "e0,B,A,220,1960,1970,true", "e2,A,B,220,1955,1962,true"]),
+    (_A_B, ["e1,A,B", "e1,A,B,220,1950,,true"]),
+    (_A_B, ["e1,A,B,220,1950,,true", "e1,A,B"]),
+    (_A_B, ["e1,A,B,220,1950,,true", ",,,,,,", "e1,A,B,220,1950,,true"]),
+    (_A_B, ["e1,A,B,220,1950,,true", "e2,A,B,2\r20,1950,,true"]),
+]
+
+
+@pytest.mark.parametrize("node_rows,edge_rows", _ODD_ROWS)
+def test_one_pass_parse_equals_the_reference_on_odd_rows(node_rows, edge_rows):
+    sources = log_text(node_rows, edge_rows)
+    assert _outcome(parse_log, *sources) == _outcome(reference_parse_log, *sources)
+
+
+def test_one_pass_parse_equals_the_reference_on_bom_nodes_and_crlf_edges(tmp_path, fixture_csv_paths):
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    for nodes_csv, edges_csv in ([p.read_text(encoding="utf-8") for p in fixture_csv_paths], churn_csv(1)):
+        nodes_path.write_bytes(b"\xef\xbb\xbf" + nodes_csv.encode())
+        edges_path.write_bytes(edges_csv.replace("\n", "\r\n").encode())
+        with open(nodes_path, newline="", encoding="utf-8") as nodes_file:
+            with open(edges_path, newline="", encoding="utf-8") as edges_file:
+                expected = reference_parse_log(nodes_file, edges_file)
+        log = load_log(nodes_path, edges_path)
+        assert (to_csv(log), log.merges) == (to_csv(expected), expected.merges)
+
+
+def test_records_are_immutable_and_hashable(fixture_log):
+    log = fixture_log
+    for record, name in ((log.nodes[0], "id"), (log.edges[0], "voltage_kv"), (log.merges[0], "merged_ids")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        twin = copy.copy(record)
+        assert twin is not record and hash(twin) == hash(record)
 
 
 def test_invariant_active_edge_endpoints_subset():
