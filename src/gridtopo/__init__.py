@@ -1,46 +1,61 @@
-"""Temporal complex-network analytics for power-grid event logs."""
+"""Temporal complex-network analytics for power-grid event logs.
 
-from .communities import CommunityAssignment, detect_communities
-from .degree_fit import Ccdf, FitComparison, FitResult, build_ccdf, compare_fits, fit_model
-from .evolution import (
-    CorrelationReport,
-    MetricTimeSeries,
-    SigmaCrossings,
-    compute_metrics_record,
-    compute_timeseries,
-    correlate_with_line_count,
-    pearson,
-    small_world_transition,
-)
-from .generators import GeneratorSpec, barabasi_albert, erdos_renyi, generate, watts_strogatz
-from .graphs import (
-    ComponentPartition,
-    GraphSnapshot,
-    build_snapshot,
-    connected_components,
-    to_edgelist,
-)
-from .grid_log import (
-    EdgeRecord,
-    GridLogError,
-    NodeRecord,
-    TemporalGridLog,
-    active_elements,
-    line_count_series,
-    load_log,
-    parse_log,
-)
-from .metrics import (
-    METRICS_CSV_HEADER,
-    DegreeStats,
-    MetricsRecord,
-    average_path_length,
-    clustering_coefficient,
-    degree_stats,
-    diameter,
-    modularity,
-    random_baselines,
-    small_world_sigma,
-)
+Importing the package loads none of its modules: each public name below
+is imported from its home module on first use (PEP 562), so a command
+pays only for the modules it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "communities": ("CommunityAssignment", "detect_communities"),
+    "degree_fit": ("Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"),
+    "evolution": (
+        "CorrelationReport",
+        "MetricTimeSeries",
+        "SigmaCrossings",
+        "compute_metrics_record",
+        "compute_timeseries",
+        "correlate_with_line_count",
+        "pearson",
+        "small_world_transition",
+    ),
+    "generators": ("GeneratorSpec", "barabasi_albert", "erdos_renyi", "generate", "watts_strogatz"),
+    "graphs": ("ComponentPartition", "GraphSnapshot", "build_snapshot", "connected_components", "to_edgelist"),
+    "grid_log": (
+        "EdgeRecord",
+        "GridLogError",
+        "NodeRecord",
+        "TemporalGridLog",
+        "active_elements",
+        "line_count_series",
+        "load_log",
+        "parse_log",
+    ),
+    "metrics": (
+        "METRICS_CSV_HEADER",
+        "DegreeStats",
+        "MetricsRecord",
+        "average_path_length",
+        "clustering_coefficient",
+        "degree_stats",
+        "diameter",
+        "modularity",
+        "random_baselines",
+        "small_world_sigma",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import stat
 import sys
-import tempfile
 
-from .communities import assignment_to_csv, detect_communities
-from .degree_fit import FitNotConverged, build_ccdf, compare_fits, fit_model, fit_result_to_json
-from .evolution import compute_metrics_record, compute_timeseries, correlate_with_line_count
-from .generators import GENERATOR_KINDS, GeneratorSpec, generate
-from .graphs import build_snapshot, to_edgelist
 from .grid_log import load_log
-from .metrics import METRICS_CSV_HEADER, degree_stats
+
+# Each command imports the modules it runs, so a launch loads no more of
+# the package than its command needs: `fit` never loads the community,
+# evolution or generator modules.
 
 DEFAULT_SEED = 42
+GENERATOR_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
 # longest --from/--to range accepted, so a typo like --to 20200 fails fast
 MAX_YEAR_SPAN = 500
 # most --restarts accepted: each restart is one more full greedy pass
@@ -45,6 +41,8 @@ def _write_output(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
+    import tempfile
+
     target = os.path.realpath(out_path)
     try:
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gridtopo-", suffix=".tmp")
@@ -86,9 +84,15 @@ def _year_range(args) -> range:
 
 
 def _cmd_snapshot(args) -> int:
+    from .evolution import compute_metrics_record
+    from .graphs import build_snapshot
+    from .metrics import METRICS_CSV_HEADER
+
     log = load_log(args.nodes, args.edges)
     record = compute_metrics_record(build_snapshot(log, args.year), args.seed)
     if args.format == "json":
+        import json
+
         text = json.dumps(record.as_dict(), indent=2) + "\n"
     else:
         text = METRICS_CSV_HEADER + "\n" + record.to_csv_row() + "\n"
@@ -97,9 +101,13 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_timeseries(args) -> int:
+    from .evolution import compute_timeseries
+
     log = load_log(args.nodes, args.edges)
     series = compute_timeseries(log, _year_range(args), args.seed)
     if args.format == "json":
+        import json
+
         text = json.dumps([r.as_dict() for r in series.records], indent=2) + "\n"
     else:
         text = series.to_csv()
@@ -108,13 +116,26 @@ def _cmd_timeseries(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .degree_fit import build_ccdf, compare_fits, fit_model, fit_result_to_json
+    from .graphs import build_snapshot
+    from .metrics import degree_stats
+
     log = load_log(args.nodes, args.edges)
     snapshot = build_snapshot(log, args.year)
     ccdf = build_ccdf(degree_stats(snapshot).histogram)
     if args.model == "both":
         if args.format != "json":
             raise ValueError("--model both supports only --format json")
-        text = json.dumps(dataclasses.asdict(compare_fits(ccdf)), indent=2) + "\n"
+        import json
+
+        fits = compare_fits(ccdf)
+        fields = {
+            **fits._asdict(),  # the nested records would dump as JSON arrays
+            "power_law": fits.power_law._asdict(),
+            "exponential": fits.exponential._asdict(),
+            "tail_residuals": [tail._asdict() for tail in fits.tail_residuals],
+        }
+        text = json.dumps(fields, indent=2) + "\n"
     else:
         result = fit_model(ccdf, args.model)
         if args.format == "json":
@@ -129,6 +150,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from .evolution import correlate_with_line_count
+
     log = load_log(args.nodes, args.edges)
     voltages = []
     for v in (v.strip() for v in args.voltages.split(",")):
@@ -159,6 +182,9 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import GeneratorSpec, generate
+    from .graphs import to_edgelist
+
     spec = GeneratorSpec(kind=args.kind, n=args.n, p=args.p, k=args.k, m=args.m, seed=args.seed)
     _write_output(to_edgelist(generate(spec)), args.out)
     return 0
@@ -167,6 +193,9 @@ def _cmd_generate(args) -> int:
 def _cmd_communities(args) -> int:
     if args.restarts > MAX_RESTARTS:
         raise ValueError(f"--restarts {args.restarts} is more than {MAX_RESTARTS}")
+    from .communities import assignment_to_csv, detect_communities
+    from .graphs import build_snapshot
+
     log = load_log(args.nodes, args.edges)
     snapshot = build_snapshot(log, args.year)
     assignment = detect_communities(snapshot, args.seed, args.restarts)
@@ -239,11 +268,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports in one line; a fit's only once a fit could have run."""
+    degree_fit = sys.modules.get(f"{__package__}.degree_fit")
+    if degree_fit is None:
+        return ValueError, OSError
+    return ValueError, OSError, degree_fit.FitNotConverged
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FitNotConverged) as exc:
+    except _command_errors() as exc:  # evaluated only once an error is raised
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 import heapq
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import metrics
 from .graphs import GraphSnapshot
 
 
-@dataclass(frozen=True)
-class CommunityAssignment:
+class CommunityAssignment(NamedTuple):
     """Node-indexed community labels with the modularity they achieve."""
 
     membership: tuple[int, ...]

@@ -17,25 +17,21 @@ there, not converged, and raises FitNotConverged.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 MODELS = ("power_law", "exponential")
 SSE_RELATIVE_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class Ccdf:
+class Ccdf(NamedTuple):
     """Points (k, p) of a cumulative degree distribution."""
 
     points: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     model: str
     a: float
     gamma_or_kappa: float
@@ -43,8 +39,7 @@ class FitResult:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class TailResidual:
+class TailResidual(NamedTuple):
     """Model residuals (prediction minus data) at one high degree."""
 
     degree: int
@@ -53,8 +48,7 @@ class TailResidual:
     exponential_residual: float
 
 
-@dataclass(frozen=True)
-class FitComparison:
+class FitComparison(NamedTuple):
     power_law: FitResult
     exponential: FitResult
     preferred: str  # "power_law", "exponential", or "tie"
@@ -243,5 +237,7 @@ def compare_fits(ccdf: Ccdf) -> FitComparison:
 
 
 def fit_result_to_json(result: FitResult) -> str:
-    return json.dumps(asdict(result))
+    import json
+
+    return json.dumps(result._asdict())
 

@@ -5,8 +5,9 @@ carry None rather than a silent zero; CSV output renders them as NA.
 A year whose graph equals the previous year's reuses that year's record:
 every column but ``year`` depends only on the graph and the seed.  So the
 distinct graphs can be computed in any order and in any process: where
-``os.fork`` exists they are split into up to ``MAX_WORKERS`` shares, and
-every share but the first runs in a forked child.
+``os.fork`` exists and they cost at least ``MIN_FORK_COST``, they are split
+into up to ``MAX_WORKERS`` shares, and every share but the first runs in a
+forked child.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .communities import detect_communities
 from .graphs import GraphSnapshot, build_snapshot
@@ -33,8 +33,15 @@ from .metrics import (
 
 # most processes that compute one range's records at once
 MAX_WORKERS = 8
+# summed N^2 of the distinct graphs below which they are computed in this
+# process: a fork round trip (fork, copy-on-write faults, pickled records,
+# reaping) costs more than the share it takes off.  Measured on a 2-vCPU VM,
+# the break-even lay between 1.5e4 and 3e4, 10-20 ms of records in one
+# process; the 12-node fixture's 31 years cost 1472, a 350-node growth
+# log's 70 years about 2.9e6.
+MIN_FORK_COST = 20_000
 
-_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, (f.name for f in fields(MetricsRecord)), strict=True))
+_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, MetricsRecord._fields, strict=True))
 
 
 def _record_field(name: str) -> str:
@@ -45,8 +52,7 @@ def _record_field(name: str) -> str:
         raise ValueError(f"unknown metric {name!r}") from None
 
 
-@dataclass(frozen=True)
-class MetricTimeSeries:
+class MetricTimeSeries(NamedTuple):
     years: tuple[int, ...]
     records: tuple[MetricsRecord, ...]
 
@@ -61,16 +67,14 @@ class MetricTimeSeries:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SigmaCrossings:
+class SigmaCrossings(NamedTuple):
     """First year with sigma > 1 (None if never) and every crossing."""
 
     first_year: int | None
     crossings: tuple[tuple[int, str], ...]  # (year, "up" or "down")
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     metric: str
     r: float
     years: tuple[int, ...]
@@ -149,7 +153,7 @@ def _yearly_records(
             distinct.append(snapshot)
         graph_of_year.append(len(distinct) - 1)
     records = _distinct_records(distinct, seed, modularity)
-    return [replace(records[i], year=year) for i, year in zip(graph_of_year, years)]
+    return [records[i]._replace(year=year) for i, year in zip(graph_of_year, years)]
 
 
 def _worker_count(distinct: int) -> int:
@@ -190,7 +194,8 @@ def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: boo
     error in any share is raised here, and every child is reaped on the
     way out, whatever happens; one that is still running is killed first.
     """
-    shares = _shares([s.num_nodes**2 for s in snapshots], _worker_count(len(snapshots)))
+    costs = [s.num_nodes**2 for s in snapshots]
+    shares = _shares(costs, _worker_count(len(snapshots)) if sum(costs) >= MIN_FORK_COST else 1)
 
     def compute(share: list[int]) -> list[MetricsRecord]:
         return [compute_metrics_record(snapshots[i], seed, modularity=modularity) for i in share]

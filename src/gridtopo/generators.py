@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import GraphSnapshot
 
-GENERATOR_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
 _REWIRE_ATTEMPTS = 10000
 # most nodes a generator accepts: erdos_renyi draws all n(n-1)/2 pairs, so
 # 10^4 nodes (the largest national grid) take seconds and 10^8 would take days
 MAX_NODES = 10**4
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     kind: str
     n: int
     p: float | None = None

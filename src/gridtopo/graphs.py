@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .grid_log import TemporalGridLog, active_elements
 
@@ -74,8 +73,7 @@ class GraphSnapshot:
         return f"GraphSnapshot(year={self.year}, N={self.num_nodes}, E={self.num_edges})"
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """Connected components of a snapshot.
 
     ``component_of`` maps node index to a component id assigned in order

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -54,8 +53,7 @@ class EdgeRecord(NamedTuple):
         return (self.node_b, self.node_a)
 
 
-@dataclass(frozen=True)
-class CircuitMerge:
+class CircuitMerge(NamedTuple):
     """Note that parallel circuits were collapsed into one connection."""
 
     kept_id: str
@@ -66,17 +64,27 @@ class CircuitMerge:
     decommissioned: int | None
 
 
-@dataclass(frozen=True)
-class TemporalGridLog:
+class TemporalGridLog(NamedTuple):
     """Validated, immutable set of node and edge records.
 
     ``merges`` documents circuit merges performed at parse time; it is
-    informational and excluded from equality.
+    informational and excluded from equality and the hash.
     """
 
     nodes: tuple[NodeRecord, ...]
     edges: tuple[EdgeRecord, ...]
-    merges: tuple[CircuitMerge, ...] = field(default=(), compare=False)
+    merges: tuple[CircuitMerge, ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, TemporalGridLog):
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +100,12 @@ class TemporalGridLog:
 def _table(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[list[str]]:
     """CSV rows of one table after its checked header.
 
-    One leading byte-order mark (U+FEFF) is dropped, so BOM-prefixed text
-    and files parse like the plain originals.
+    Text is read with ``newline=""``, as ``load_log`` opens files, so a
+    lone carriage return ends a row in both.  One leading byte-order mark
+    (U+FEFF) is dropped, so BOM-prefixed text and files parse like the
+    plain originals.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,), lines))
     try:

@@ -18,8 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import ComponentPartition, GraphSnapshot, connected_components
 
@@ -30,15 +29,13 @@ EULER_GAMMA_TRUNCATED = 0.5772
 SOURCE_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     degrees: tuple[int, ...]
     average: float
     histogram: tuple[int, ...]  # counts indexed by degree 0..max
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """One year's full metric row."""
 
     year: int
@@ -56,13 +53,10 @@ class MetricsRecord:
     largest_component_size: int
 
     def to_csv_row(self) -> str:
-        return ",".join(format_metric_value(v) for v in self.as_tuple())
-
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return ",".join(format_metric_value(v) for v in self)
 
     def as_dict(self) -> dict:
-        return dict(zip(METRICS_CSV_COLUMNS, self.as_tuple()))
+        return dict(zip(METRICS_CSV_COLUMNS, self))
 
 
 METRICS_CSV_COLUMNS = (

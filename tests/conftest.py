@@ -38,8 +38,8 @@ def demo_log() -> TemporalGridLog:
 
 
 @functools.cache
-def churn_csv(seed: int) -> tuple[str, str]:
-    """Nodes and edges CSV text of the benchmark's 400-node churn log."""
+def bench_log_csv(nodes: int, seed: int, churn: bool) -> tuple[str, str]:
+    """Nodes and edges CSV text of a benchmark log, made by ``bench/gen.py``."""
     spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen  # dataclasses look their module up
@@ -47,7 +47,12 @@ def churn_csv(seed: int) -> tuple[str, str]:
         spec.loader.exec_module(gen)
     finally:
         del sys.modules[spec.name]
-    return gen.to_csv(gen.generate(400, seed, churn=True))
+    return gen.to_csv(gen.generate(nodes, seed, churn=churn))
+
+
+def churn_csv(seed: int) -> tuple[str, str]:
+    """Nodes and edges CSV text of the benchmark's 400-node churn log."""
+    return bench_log_csv(400, seed, True)
 
 
 @pytest.fixture(scope="session")

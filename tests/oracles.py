@@ -407,11 +407,12 @@ def _rows(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterato
 
     The header is row 1 and must name ``columns``.  Blank rows are
     skipped; a row with the wrong field count, an empty id or an id seen
-    before is an error.  CSV syntax errors name the row.  One leading
-    byte-order mark (U+FEFF) is dropped, so BOM-prefixed text and files
-    parse like the plain originals.
+    before is an error.  CSV syntax errors name the row.  Text is read
+    with ``newline=""``, like a file, so a lone carriage return ends a row.
+    One leading byte-order mark (U+FEFF) is dropped, so BOM-prefixed text
+    and files parse like the plain originals.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
     first = next(lines, "").removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,), lines))
     seen: set[str] = set()

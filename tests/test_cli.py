@@ -7,10 +7,11 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from gridtopo import cli, evolution
+from gridtopo import communities, degree_fit, evolution
 from gridtopo.cli import MAX_RESTARTS, MAX_YEAR_SPAN, _year_range, main
 from gridtopo.degree_fit import FitResult
 from gridtopo.evolution import pearson
@@ -254,13 +255,13 @@ def test_correlate_empty_voltage_filter_fails_before_any_record(capsys, monkeypa
 
 def test_communities_restarts_are_bounded(capsys, monkeypatch, fixture_csv_paths):
     restarts = []
-    one_pass = cli.detect_communities
+    one_pass = communities.detect_communities
 
     def recorded(snapshot, seed, count):
         restarts.append(count)
         return one_pass(snapshot, seed)
 
-    monkeypatch.setattr(cli, "detect_communities", recorded)
+    monkeypatch.setattr(communities, "detect_communities", recorded)
     argv = ["communities", *log_args(fixture_csv_paths), "--year", "1975", "--restarts"]
     code, out, err = run_cli(capsys, *argv, str(MAX_RESTARTS + 1))
     assert (code, out, err) == (1, "", f"error: --restarts 1001 is more than {MAX_RESTARTS}\n")
@@ -296,6 +297,19 @@ def test_nonfinite_fit_is_one_line_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: cannot form initial guess: amplitude exp(")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("model", ["both", "power_law"])
+def test_stalled_fit_is_one_line_error(capsys, monkeypatch, fixture_csv_paths, model):
+    # a CCDF on which the power-law fit stalls on the gamma > 0 boundary
+    counts = {2: 1, 4: 87, 6: 853, 28: 83, 41: 37, 43: 1, 65: 88, 97: 29, 112: 654, 256: 1}
+    histogram = [counts.get(k, 0) for k in range(257)]
+    stalling = degree_fit.build_ccdf(histogram)
+    monkeypatch.setattr(degree_fit, "build_ccdf", lambda _: stalling)
+    code, out, err = run_cli(capsys, "fit", *log_args(fixture_csv_paths), "--year", "1980", "--model", model)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: power_law fit stalled on the gamma > 0 boundary (gamma=")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_never_imports_numpy(tmp_path, fixture_csv_paths):
@@ -543,3 +557,23 @@ def test_console_entry_point_runs(fixture_csv_paths):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1966,10,11,")
+
+
+FROZEN = Path(__file__).resolve().parent / "frozen"
+
+
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (["fit", "--year", "1980", "--model", "both"], "fit_both_1980.json"),
+        (["fit", "--year", "1980", "--model", "power_law", "--format", "json"], "fit_power_law_1980.json"),
+        (["fit", "--year", "1980", "--model", "exponential", "--format", "json"], "fit_exponential_1980.json"),
+        (["snapshot", "--year", "1970", "--format", "json"], "snapshot_1970.json"),
+        (["timeseries", "--from", "1950", "--to", "1980", "--format", "json"], "timeseries_1950_1980.json"),
+    ],
+)
+def test_json_outputs_keep_their_frozen_bytes(capsys, fixture_csv_paths, argv, frozen):
+    # frozen from the CLI as it was when every record was a frozen dataclass
+    code, out, err = run_cli(capsys, argv[0], *log_args(fixture_csv_paths), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (FROZEN / frozen).read_bytes()

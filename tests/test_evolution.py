@@ -24,7 +24,7 @@ from gridtopo.grid_log import parse_log
 from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord
 
 import properties
-from conftest import churn_csv
+from conftest import bench_log_csv, churn_csv
 from oracles import reference_timeseries
 
 CHURN_YEARS = range(1950, 2020)
@@ -194,8 +194,11 @@ def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypa
 
 
 def forced_workers(workers):
-    """Patch the worker count, so the fork path runs whatever the CPU count."""
-    return mock.patch.object(evolution, "_worker_count", lambda distinct: min(workers, distinct))
+    """Patch the worker count and the fork threshold, so the fork path runs
+    whatever the CPU count and however cheap the graphs are."""
+    return mock.patch.multiple(
+        evolution, _worker_count=lambda distinct: min(workers, distinct), MIN_FORK_COST=0
+    )
 
 
 def assert_no_child_left():
@@ -246,6 +249,41 @@ def test_shares_partition_the_indices_costliest_first(costs, workers):
     assert sorted(i for share in shares for i in share) == list(range(len(costs)))
     if costs:
         assert costs[shares[0][0]] == max(costs)
+
+
+def distinct_cost(log, years):
+    """Summed N^2 of the graphs that differ from the year before's: the cost the fork threshold reads."""
+    snapshots = [build_snapshot(log, year) for year in years]
+    return sum(
+        s.num_nodes**2 for i, s in enumerate(snapshots) if i == 0 or not s.same_graph(snapshots[i - 1])
+    )
+
+
+def test_graphs_cheaper_than_a_fork_round_trip_are_computed_in_process(monkeypatch, fixture_log):
+    years = range(1950, 1981)
+    cost = distinct_cost(fixture_log, years)
+    assert cost == 1472 < evolution.MIN_FORK_COST
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(evolution, "_worker_count", lambda distinct: min(2, distinct))
+    expected = reference_timeseries(fixture_log, years, 42)
+    assert compute_timeseries(fixture_log, years).records == expected
+    assert forks == []
+    monkeypatch.setattr(evolution, "MIN_FORK_COST", cost)
+    assert compute_timeseries(fixture_log, years).records == expected
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("nodes, churn", [(350, False), (400, True)])
+def test_the_benchmark_series_cost_enough_to_fork(nodes, churn):
+    # series-growth (350 nodes) and correlate-churn (400 nodes, churn) over 1950-2019, seed 1
+    assert distinct_cost(parse_log(*bench_log_csv(nodes, 1, churn)), CHURN_YEARS) > 50 * evolution.MIN_FORK_COST
 
 
 def test_one_worker_computes_every_graph_in_process(monkeypatch, fixture_log):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from gridtopo import generators
+from gridtopo.cli import GENERATOR_KINDS
 from gridtopo.generators import (
     MAX_NODES,
     GeneratorSpec,
@@ -68,6 +69,11 @@ def test_ba_heavy_tail_signature():
     for seed in range(20):
         snap = barabasi_albert(5000, 2, seed)
         assert max(snap.degrees()) > 10 * 2, seed
+
+
+def test_generate_accepts_every_kind_the_cli_offers():
+    for kind in GENERATOR_KINDS:
+        assert generate(GeneratorSpec(kind=kind, n=10, p=0.5, k=4, m=2, seed=1)).num_nodes == 10
 
 
 def test_generate_dispatch_and_validation():

@@ -367,12 +367,12 @@ def test_canonical_csv_round_trips_any_valid_log(sources):
     assert to_csv(reparsed) == canonical
 
 
-_STRAY = {"quote": '"', "space": " ", "bom": "\ufeff"}
+_STRAY = {"quote": '"', "space": " ", "bom": "\ufeff", "cr": "\r"}
 
 
 def _mutate(text: str, rng: random.Random) -> str:
-    """One random edit: drop or duplicate a character or a line, swap two
-    fields of a line, add a stray quote, space or byte-order mark, or truncate."""
+    """One random edit: drop or duplicate a character or a line, swap two fields
+    of a line, add a stray quote, space, byte-order mark or carriage return, or truncate."""
     op = rng.choice(("drop_char", "dup_char", "drop_line", "dup_line", "swap_fields", "truncate", *_STRAY))
     at = rng.randrange(len(text) + 1)
     if op == "drop_char":
@@ -496,6 +496,48 @@ _ODD_ROWS = [
 ]
 
 
+def test_text_and_files_of_the_same_bytes_parse_alike_on_mutants(tmp_path, fixture_csv_paths):
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    fixture = [path.read_text(encoding="utf-8") for path in fixture_csv_paths]
+    carriage_return_errors = 0
+    for nodes_csv, edges_csv in mutation_corpus(*fixture):
+        nodes_path.write_bytes(nodes_csv.encode("utf-8"))
+        edges_path.write_bytes(edges_csv.encode("utf-8"))
+        outcome = _outcome(parse_log, nodes_csv, edges_csv)
+        assert _outcome(load_log, nodes_path, edges_path) == outcome, (nodes_csv, edges_csv)
+        carriage_return_errors += isinstance(outcome, str) and "\r" in nodes_csv + edges_csv
+    assert carriage_return_errors >= 5
+
+
+# A lone carriage return ends a row, in text as in a file: the rest of the
+# line is a row of its own.
+_LONE_CR = [
+    (["A,A,pl\rant,1950,,true"], [], "nodes row 2: expected 6 fields, got 3"),
+    (_A_B, ["e1,A,B,220,1950,,true", "e2,A,B,2\r20,1950,,true"], "edges row 3: expected 7 fields, got 4"),
+    (["A,A,plant,1950,,true\rB,B,plant,1950,,true"], ["e1,A,B,220,1950,,true"], None),
+    (['A,"A\rA",plant,1950,,true'], [], None),
+]
+
+
+@pytest.mark.parametrize("node_rows, edge_rows, message", _LONE_CR)
+def test_a_lone_carriage_return_gives_one_error_line_from_text_and_files(
+    capsys, tmp_path, node_rows, edge_rows, message
+):
+    nodes_csv, edges_csv = log_text(node_rows, edge_rows)
+    outcome = _outcome(parse_log, nodes_csv, edges_csv)
+    assert outcome == _outcome(reference_parse_log, nodes_csv, edges_csv)
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    nodes_path.write_bytes(nodes_csv.encode("utf-8"))
+    edges_path.write_bytes(edges_csv.encode("utf-8"))
+    code = main(["snapshot", "--nodes", str(nodes_path), "--edges", str(edges_path), "--year", "1960"])
+    captured = capsys.readouterr()
+    if message is None:
+        assert not isinstance(outcome, str) and code == 0
+    else:
+        assert outcome == message
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("node_rows,edge_rows", _ODD_ROWS)
 def test_one_pass_parse_equals_the_reference_on_odd_rows(node_rows, edge_rows):
     sources = log_text(node_rows, edge_rows)
@@ -512,6 +554,17 @@ def test_one_pass_parse_equals_the_reference_on_bom_nodes_and_crlf_edges(tmp_pat
                 expected = reference_parse_log(nodes_file, edges_file)
         log = load_log(nodes_path, edges_path)
         assert (to_csv(log), log.merges) == (to_csv(expected), expected.merges)
+
+
+def test_log_equality_and_hash_ignore_merges(fixture_log):
+    log = fixture_log
+    plain = log._replace(merges=())
+    assert log.merges and plain.merges == ()
+    assert log == plain and not log != plain and hash(log) == hash(plain)
+    assert len({log, plain}) == 1
+    fewer_edges = log._replace(edges=log.edges[1:])
+    assert log != fewer_edges and not log == fewer_edges
+    assert log != log._replace(nodes=log.nodes[1:])
 
 
 def test_records_are_immutable_and_hashable(fixture_log):
