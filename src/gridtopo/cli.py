@@ -103,8 +103,9 @@ def _cmd_snapshot(args) -> int:
 def _cmd_timeseries(args) -> int:
     from .evolution import compute_timeseries
 
+    years = _year_range(args)
     log = load_log(args.nodes, args.edges)
-    series = compute_timeseries(log, _year_range(args), args.seed)
+    series = compute_timeseries(log, years, args.seed)
     if args.format == "json":
         import json
 
@@ -120,12 +121,12 @@ def _cmd_fit(args) -> int:
     from .graphs import build_snapshot
     from .metrics import degree_stats
 
+    if args.model == "both" and args.format != "json":
+        raise ValueError("--model both supports only --format json")
     log = load_log(args.nodes, args.edges)
     snapshot = build_snapshot(log, args.year)
     ccdf = build_ccdf(degree_stats(snapshot).histogram)
     if args.model == "both":
-        if args.format != "json":
-            raise ValueError("--model both supports only --format json")
         import json
 
         fits = compare_fits(ccdf)
@@ -150,9 +151,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    from .evolution import correlate_with_line_count
+    from .evolution import _record_field, correlate_with_line_count
 
-    log = load_log(args.nodes, args.edges)
     voltages = []
     for v in (v.strip() for v in args.voltages.split(",")):
         if v:
@@ -163,9 +163,12 @@ def _cmd_correlate(args) -> int:
             if level <= 0:
                 raise ValueError(f"--voltages: invalid kV level {v!r}")
             voltages.append(level)
-    report = correlate_with_line_count(
-        log, args.metric, voltages, args.domestic_only, _year_range(args), args.seed
-    )
+    years = _year_range(args)
+    _record_field(args.metric)  # an unknown metric fails before the log is read
+    if not voltages:
+        raise ValueError("voltage filter must not be empty")
+    log = load_log(args.nodes, args.edges)
+    report = correlate_with_line_count(log, args.metric, voltages, args.domestic_only, years, args.seed)
     if args.out is not None:
         lines = [f"year,{report.metric},line_count"]
         for year, value, count in zip(report.years, report.metric_values, report.line_counts):
@@ -191,6 +194,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_communities(args) -> int:
+    if args.restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if args.restarts > MAX_RESTARTS:
         raise ValueError(f"--restarts {args.restarts} is more than {MAX_RESTARTS}")
     from .communities import assignment_to_csv, detect_communities

@@ -8,18 +8,31 @@ the pair of connected communities with the largest modularity gain
 (e_ab = edges between a and b, K = community degree sum), stopping when
 no merge improves modularity.  Ties on the gain are broken toward the
 lexicographically smallest community-id pair, which makes the result
-deterministic.  Each merge is found with a lazily invalidated max-heap
-of pair gains, as in Clauset, Newman and Moore, "Finding community
-structure in very large networks", Phys. Rev. E 70, 066111 (2004): the
-heap orders by the same gain formula and the same tie-break, so the
-merge sequence equals that of a full rescan of all pairs per merge.
+deterministic.  Each merge is found with a max-heap of pair gains, as in
+Clauset, Newman and Moore, "Finding community structure in very large
+networks", Phys. Rev. E 70, 066111 (2004), whose entries may be stale
+upper bounds that are checked only when popped, the lazy evaluation of
+Minoux's accelerated greedy (1978).
+
+When a absorbs b (a < b, so a keeps its id), only the pairs (a, c) with c
+a neighbour of b get a new entry.  For any other neighbour c of a, e_ac is
+unchanged and K_a has grown, so the gain cannot rise (each rounded float
+step is monotone, so neither can the computed gain), and the pair's
+old entry stays an upper bound; pairs without a or b do not change.  A
+popped entry whose pair is gone is dropped; one above its pair's current
+gain is pushed again at that gain.  So every live pair always holds an
+entry at or above its gain, and an entry that is popped at its current
+gain has the largest gain, ties to the smallest (a, b): the merge
+sequence equals that of a full rescan of all pairs per merge.  Once the
+top entry's gain is not positive, no gain is, and the pass stops.  The gain
+is always computed by the same float expression, so equal gains stay
+bit-equal and the tie-break is exact.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import defaultdict
 from typing import NamedTuple
 
 from . import metrics
@@ -49,54 +62,60 @@ def _compact_membership(snapshot: GraphSnapshot, community_of: list[int]) -> tup
 
 def _greedy_pass(snapshot: GraphSnapshot, initial_ids: tuple[int, ...]) -> tuple[int, ...]:
     """Run one agglomerative pass; ``initial_ids`` sets tie-break order."""
+    n = snapshot.num_nodes
     two_e = 2.0 * snapshot.num_edges
-    members: dict[int, list[int]] = defaultdict(list)
-    degree_sum: dict[int, int] = defaultdict(int)
-    for node in range(snapshot.num_nodes):
-        members[initial_ids[node]].append(node)
-        degree_sum[initial_ids[node]] += snapshot.degree(node)
-    between: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    two_e_sq = two_e * two_e
+    degree_sum = [0] * n
+    for node in range(n):
+        degree_sum[initial_ids[node]] = snapshot.degree(node)
+    # between[a][c] = edges between communities a and c; None once a is merged away
+    between: list[dict[int, int] | None] = [{} for _ in range(n)]
+    heap = []
     for i, j in snapshot.edges():
         a, b = initial_ids[i], initial_ids[j]
-        if a != b:
-            between[a][b] += 1
-            between[b][a] += 1
-
-    def gain(a: int, b: int) -> float:
-        return 2.0 * (between[a][b] / two_e - degree_sum[a] * degree_sum[b] / (two_e * two_e))
-
-    # Popping (-gain, a, b) takes the largest gain and, among equal gains,
-    # the smallest pair.  An entry is stale once its pair has merged away or
-    # its gain has changed; every live pair always has a current entry.
-    heap = [(-gain(a, b), a, b) for a in between for b in between[a] if a < b]
+        between[a][b] = between[b][a] = 1
+        if a > b:
+            a, b = b, a
+        heap.append((-2.0 * (1 / two_e - degree_sum[a] * degree_sum[b] / two_e_sq), a, b))
     heapq.heapify(heap)
+    merged_into = list(range(n))
+    # Popping (-gain, a, b) takes the largest gain and, among equal gains,
+    # the smallest pair.  Every live pair holds an entry at or above its
+    # current gain; one popped above it is re-queued at the current gain.
+    # Each gain is the module docstring's formula, written the same way.
     while heap:
-        neg_gain, a, b = heapq.heappop(heap)
-        if b not in between.get(a, ()) or -gain(a, b) != neg_gain:
-            continue
+        neg_gain, a, b = heap[0]
         if neg_gain >= 0.0:
             break
-        if len(members[a]) < len(members[b]):
-            members[a], members[b] = members[b], members[a]
-        members[a].extend(members.pop(b))
-        degree_sum[a] += degree_sum.pop(b)
-        for c, weight in between.pop(b).items():
+        row = between[a]
+        if row is None or b not in row:
+            heapq.heappop(heap)
+            continue
+        k_a = degree_sum[a]
+        current = -2.0 * (row[b] / two_e - k_a * degree_sum[b] / two_e_sq)
+        if current != neg_gain:
+            heapq.heapreplace(heap, (current, a, b))
+            continue
+        heapq.heappop(heap)
+        # a < b, so a keeps its id and every merged_into[x] is below x
+        merged_into[b] = a
+        del row[b]
+        k_a += degree_sum[b]
+        degree_sum[a] = k_a
+        other = between[b]
+        between[b] = None
+        for c, weight in other.items():
             if c == a:
                 continue
-            between[a][c] += weight
-            between[c][a] = between[a][c]
-            del between[c][b]
-        between[a].pop(b, None)
-        if not between[a]:
-            del between[a]
-        for c in between.get(a, ()):
-            heapq.heappush(heap, (-gain(a, c), a, c) if a < c else (-gain(c, a), c, a))
+            row_c = between[c]
+            del row_c[b]
+            row_c[a] = row[c] = weight = row.get(c, 0) + weight
+            gain = -2.0 * (weight / two_e - k_a * degree_sum[c] / two_e_sq)
+            heapq.heappush(heap, (gain, a, c) if a < c else (gain, c, a))
 
-    community_of = [0] * snapshot.num_nodes
-    for label, nodes in members.items():
-        for node in nodes:
-            community_of[node] = label
-    return _compact_membership(snapshot, community_of)
+    for x in range(n):
+        merged_into[x] = merged_into[merged_into[x]]
+    return _compact_membership(snapshot, [merged_into[label] for label in initial_ids])
 
 
 def detect_communities(snapshot: GraphSnapshot, seed: int = 42, restarts: int = 1) -> CommunityAssignment:

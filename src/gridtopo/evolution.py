@@ -190,9 +190,11 @@ def _shares(costs: Sequence[int], workers: int) -> list[list[int]]:
 def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: bool) -> list[MetricsRecord]:
     """One record per snapshot; every share but the first is computed in a forked child.
 
-    A child inherits the snapshots, so only its records cross its pipe.  An
-    error in any share is raised here, and every child is reaped on the
-    way out, whatever happens; one that is still running is killed first.
+    A child inherits the snapshots, so only its records cross its pipe.  A
+    share whose pipe or fork fails (say, EAGAIN under a process limit) is
+    computed here instead.  An error in any share is raised here, and every
+    child is reaped on the way out, whatever happens; one that is still
+    running is killed first.
     """
     costs = [s.num_nodes**2 for s in snapshots]
     shares = _shares(costs, _worker_count(len(snapshots)) if sum(costs) >= MIN_FORK_COST else 1)
@@ -202,9 +204,13 @@ def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: boo
 
     children = []  # (pid, read end of its pipe, share) until it is reaped
     try:
+        local = shares[0]
         for share in shares[1:]:
-            children.append((*_fork(compute, share), share))
-        done = [(shares[0], compute(shares[0]))]
+            try:
+                children.append((*_fork(compute, share), share))
+            except OSError:
+                local = local + share
+        done = [(local, compute(local))]
         while children:
             pid, pipe, share = children[0]
             payload = pipe.read()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from bisect import bisect_right
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -374,15 +375,38 @@ def line_count_series(
     domestic_only: bool,
     years: Sequence[int],
 ) -> list[int]:
-    """Per-year count of active lines at the given voltage levels."""
+    """Per-year count of active lines at the given voltage levels.
+
+    One pass over the edges: a matching line counts in the years of its
+    service interval, its own lifetime cut to both endpoints' lifetimes,
+    which are the years in which ``active_elements`` lists it.
+    """
     wanted = set(voltages)
     if not wanted:
         raise GridLogError("voltage filter must not be empty")
     years = list(years)
     if not years:
         raise GridLogError("year range must not be empty")
-    counts = []
-    for year in years:
-        _, edges = active_elements(log, year)
-        counts.append(sum(1 for e in edges if e.voltage_kv in wanted and (e.domestic or not domestic_only)))
-    return counts
+    nodes = {n.id: n for n in log.nodes}
+    starts: list[int] = []  # first year in service, per matching line
+    ends: list[int] = []  # first year out of service, per matching line that has one
+    for e in log.edges:
+        if e.voltage_kv not in wanted or not (e.domestic or not domestic_only):
+            continue
+        a, b = nodes.get(e.node_a), nodes.get(e.node_b)
+        if a is None or b is None:
+            continue
+        start = max(e.commissioned, a.commissioned, b.commissioned)
+        end = e.decommissioned
+        for other in (a.decommissioned, b.decommissioned):
+            if other is not None and (end is None or other < end):
+                end = other
+        if end is None:
+            starts.append(start)
+        elif start < end:
+            starts.append(start)
+            ends.append(end)
+    starts.sort()
+    ends.sort()
+    # a line that has ended by a year had started by then too
+    return [bisect_right(starts, year) - bisect_right(ends, year) for year in years]

@@ -4,17 +4,20 @@ Nothing here may call the code paths it verifies: distances come from a
 Floyd-Warshall relaxation over a numpy matrix, the LCC's distance sum and
 diameter from one single-source BFS per node, components from
 union-find, modularity from the literal double-loop formula, greedy
-communities from a full rescan of every community pair per merge, the
+communities from a full rescan of every community pair per merge and
+from the heap pass that re-pushes every pair of a merged community, the
 best partition of a small graph from an exhaustive set-partition search,
 CCDF values from direct tail counting, CCDF fits from the numpy
 Gauss-Newton iteration that the pure-Python fit replaced, time series
 from one full record per year, with no reuse of a repeated year's record,
-and grid logs from the row-by-row parser that the one-pass parse replaced.
+grid logs from the row-by-row parser that the one-pass parse replaced,
+and line counts from the active lines of each year in turn.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import itertools
 from collections import defaultdict
@@ -40,6 +43,7 @@ from gridtopo.grid_log import (
     CircuitMerge,
     GridLogError,
     TemporalGridLog,
+    active_elements,
 )
 from gridtopo.metrics import modularity
 
@@ -251,6 +255,72 @@ def reference_greedy_pass(snapshot, initial_ids) -> tuple[int, ...]:
     for node in range(snapshot.num_nodes):
         relabel.setdefault(community_of[node], len(relabel))
     return tuple(relabel[community_of[node]] for node in range(snapshot.num_nodes))
+
+
+def reference_heap_greedy_pass(snapshot, initial_ids) -> tuple[int, ...]:
+    """Greedy pass with a max-heap that re-pushes every pair of the merged community.
+
+    The heap pass that the re-queueing one replaced: after each merge it
+    pushes a fresh entry for every neighbour of the merged community, so
+    every live pair always holds an entry at its current gain, and stale
+    entries are dropped when popped.  Same gain, tie-break and labels as
+    ``reference_greedy_pass``.
+    """
+    two_e = 2.0 * snapshot.num_edges
+    members: dict[int, list[int]] = defaultdict(list)
+    degree_sum: dict[int, int] = defaultdict(int)
+    for node in range(snapshot.num_nodes):
+        members[initial_ids[node]].append(node)
+        degree_sum[initial_ids[node]] += snapshot.degree(node)
+    between: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for i, j in snapshot.edges():
+        a, b = initial_ids[i], initial_ids[j]
+        if a != b:
+            between[a][b] += 1
+            between[b][a] += 1
+
+    def gain(a: int, b: int) -> float:
+        return 2.0 * (between[a][b] / two_e - degree_sum[a] * degree_sum[b] / (two_e * two_e))
+
+    heap = [(-gain(a, b), a, b) for a in between for b in between[a] if a < b]
+    heapq.heapify(heap)
+    while heap:
+        neg_gain, a, b = heapq.heappop(heap)
+        if b not in between.get(a, ()) or -gain(a, b) != neg_gain:
+            continue
+        if neg_gain >= 0.0:
+            break
+        if len(members[a]) < len(members[b]):
+            members[a], members[b] = members[b], members[a]
+        members[a].extend(members.pop(b))
+        degree_sum[a] += degree_sum.pop(b)
+        for c, weight in between.pop(b).items():
+            if c == a:
+                continue
+            between[a][c] += weight
+            between[c][a] = between[a][c]
+            del between[c][b]
+        between[a].pop(b, None)
+        if not between[a]:
+            del between[a]
+        for c in between.get(a, ()):
+            heapq.heappush(heap, (-gain(a, c), a, c) if a < c else (-gain(c, a), c, a))
+
+    community_of = [0] * snapshot.num_nodes
+    for label, nodes in members.items():
+        for node in nodes:
+            community_of[node] = label
+    return _compact_membership(snapshot, community_of)
+
+
+def reference_line_count_series(log, voltages, domestic_only, years) -> list[int]:
+    """``line_count_series`` by filtering ``active_elements`` once per year."""
+    wanted = set(voltages)
+    counts = []
+    for year in years:
+        _, edges = active_elements(log, year)
+        counts.append(sum(1 for e in edges if e.voltage_kv in wanted and (e.domestic or not domestic_only)))
+    return counts
 
 
 def tail_probability(degrees, k: int) -> float:

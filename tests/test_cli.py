@@ -370,6 +370,35 @@ def test_generate_node_count_is_bounded(capsys):
     assert err == f"error: generators accept at most {MAX_NODES} nodes, not 100000000\n"
 
 
+CORRELATE_RANGE = ["--from", "1950", "--to", "1980"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["timeseries", "--from", "2000", "--to", "1990"], "--to 1990 is before --from 2000"),
+        (
+            ["timeseries", "--from", "1950", "--to", "20200"],
+            f"--from 1950 --to 20200 spans 18251 years, more than {MAX_YEAR_SPAN}",
+        ),
+        (["correlate", "--voltages", "220", "--from", "2000", "--to", "1990"], "--to 1990 is before --from 2000"),
+        (["correlate", "--metric", "bogus", "--voltages", "220", *CORRELATE_RANGE], "unknown metric 'bogus'"),
+        (["correlate", "--voltages", "220,x", *CORRELATE_RANGE], "--voltages: invalid kV level 'x'"),
+        (["correlate", "--voltages", ",", *CORRELATE_RANGE], "voltage filter must not be empty"),
+        (
+            ["fit", "--year", "1970", "--model", "both", "--format", "csv"],
+            "--model both supports only --format json",
+        ),
+        (["communities", "--year", "1970", "--restarts", "0"], "restarts must be at least 1"),
+        (["communities", "--year", "1970", "--restarts", "1001"], f"--restarts 1001 is more than {MAX_RESTARTS}"),
+    ],
+)
+def test_arguments_are_checked_before_the_log_is_read(capsys, tmp_path, argv, message):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(capsys, argv[0], "--nodes", missing, "--edges", missing, *argv[1:])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_unknown_flag_exits_nonzero(fixture_csv_paths):
     with pytest.raises(SystemExit) as exc:
         main(["snapshot", "--bogus", "1"])

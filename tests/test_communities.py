@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo.communities import _greedy_pass, assignment_to_csv, detect_communities
-from gridtopo.generators import watts_strogatz
+from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from gridtopo.graphs import GraphSnapshot, build_snapshot
+from gridtopo.grid_log import parse_log
 from gridtopo.metrics import modularity
 
 import properties
-from conftest import clique_union, random_graph
-from oracles import exhaustive_best_partition, reference_greedy_pass
+from conftest import bench_log_csv, clique_union, random_graph
+from oracles import exhaustive_best_partition, reference_greedy_pass, reference_heap_greedy_pass
 
 
 def test_two_triangles_recovered_as_communities():
@@ -116,6 +117,90 @@ def test_invariant_clique_union_recovery():
     properties.check_clique_union_recovery()
 
 
+def assert_equals_oracles(snap, ids, *, rescan=True):
+    """The pass equals the heap oracle and, unless ``rescan`` is off, the full rescan."""
+    membership = _greedy_pass(snap, ids)
+    assert membership == reference_heap_greedy_pass(snap, ids)
+    if rescan:
+        assert membership == reference_greedy_pass(snap, ids)
+
+
+def id_orders(n, seed, shuffles=3):
+    """The identity ids of ``n`` nodes, then ``shuffles`` seeded permutations of them."""
+    rng = random.Random(seed)
+    orders = [tuple(range(n))]
+    for _ in range(shuffles):
+        ids = list(range(n))
+        rng.shuffle(ids)
+        orders.append(tuple(ids))
+    return orders
+
+
+def path_graph(n):
+    return GraphSnapshot(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    return GraphSnapshot(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(leaves):
+    return GraphSnapshot(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def square_grid(side):
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return GraphSnapshot(range(side * side), edges)
+
+
+# many first merges tie on the gain in these, so the tie-break decides
+TIE_HEAVY = {
+    **{f"path-{n}": path_graph(n) for n in (2, 3, 4, 5, 8, 16, 31, 64)},
+    **{f"cycle-{n}": cycle_graph(n) for n in (3, 4, 5, 6, 9, 16, 30, 64)},
+    **{f"star-{n}": star_graph(n) for n in (1, 2, 3, 7, 20)},
+    **{f"complete-{n}": clique_union([n]) for n in (2, 3, 4, 7, 12)},
+    **{f"cliques-{n}x4": clique_union([n] * 4) for n in (3, 5)},
+    **{f"grid-{side}": square_grid(side) for side in (2, 3, 4, 5, 8, 12)},
+}
+
+
+@pytest.mark.parametrize("name", TIE_HEAVY)
+def test_greedy_pass_equals_both_oracles_on_tie_heavy_families(name):
+    snap = TIE_HEAVY[name]
+    for ids in id_orders(snap.num_nodes, len(TIE_HEAVY) + len(name), shuffles=5):
+        assert_equals_oracles(snap, ids)
+
+
+SEEDS = (1, 2)
+GENERATED = {
+    "erdos_renyi": [erdos_renyi(n, p, s) for n, p in ((30, 0.1), (60, 0.05), (120, 0.03)) for s in SEEDS],
+    "watts_strogatz": [
+        watts_strogatz(n, k, p, s) for n, k in ((30, 4), (80, 4), (120, 6)) for p in (0.0, 0.1) for s in SEEDS
+    ],
+    "barabasi_albert": [barabasi_albert(n, m, s) for n, m in ((30, 1), (60, 2), (120, 3)) for s in SEEDS],
+}
+
+
+@pytest.mark.parametrize("kind", GENERATED)
+def test_greedy_pass_equals_both_oracles_on_generated_graphs(kind):
+    for index, snap in enumerate(GENERATED[kind]):
+        if snap.num_edges:
+            for ids in id_orders(snap.num_nodes, index):
+                assert_equals_oracles(snap, ids)
+
+
+@pytest.mark.parametrize("nodes, churn", [(350, False), (400, True)])
+def test_greedy_pass_equals_the_oracles_on_every_bench_log_year(nodes, churn):
+    # the full rescan takes seconds over all 70 years, so it checks every tenth
+    log = parse_log(*bench_log_csv(nodes, 1, churn))
+    for year in range(1950, 2020):
+        snap = build_snapshot(log, year)
+        if snap.num_edges:
+            for ids in id_orders(snap.num_nodes, year, shuffles=1):
+                assert_equals_oracles(snap, ids, rescan=year % 10 == 9)
+
+
 @st.composite
 def graphs_with_ids(draw):
     """A simple graph on at most 40 nodes and a permutation of its node ids."""
@@ -133,9 +218,8 @@ def graphs_with_ids(draw):
 @given(graphs_with_ids())
 def test_greedy_pass_equals_reference(case):
     snap, shuffled = case
-    identity = tuple(range(snap.num_nodes))
-    assert _greedy_pass(snap, identity) == reference_greedy_pass(snap, identity)
-    assert _greedy_pass(snap, shuffled) == reference_greedy_pass(snap, shuffled)
+    assert_equals_oracles(snap, tuple(range(snap.num_nodes)))
+    assert_equals_oracles(snap, shuffled)
 
 
 def test_greedy_pass_equals_reference_on_fixture_years(fixture_log):
@@ -143,9 +227,9 @@ def test_greedy_pass_equals_reference_on_fixture_years(fixture_log):
     for year in range(1950, 1981):
         snap = build_snapshot(fixture_log, year)
         ids = list(range(snap.num_nodes))
-        assert _greedy_pass(snap, tuple(ids)) == reference_greedy_pass(snap, tuple(ids)), year
+        assert_equals_oracles(snap, tuple(ids))
         rng.shuffle(ids)
-        assert _greedy_pass(snap, tuple(ids)) == reference_greedy_pass(snap, tuple(ids)), year
+        assert_equals_oracles(snap, tuple(ids))
 
 
 def _reference_detect(snap, seed, restarts):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import functools
 import os
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import evolution, graphs, metrics
+from gridtopo import cli, evolution, graphs, metrics
 from gridtopo.evolution import (
     MetricTimeSeries,
     compute_metrics_record,
@@ -338,6 +339,35 @@ def test_an_error_in_any_share_is_raised_and_every_child_reaped(
     raising_in(monkeypatch, where, error)
     with forced_workers(3), pytest.raises(expected, match=message):
         compute_timeseries(fixture_log, range(1950, 1981))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+@pytest.mark.parametrize(
+    "command", [["timeseries", "--format", "json"], ["correlate", "--metric", "Q", "--voltages", "120,220"]]
+)
+def test_a_share_that_cannot_fork_is_computed_in_process(
+    capsys, monkeypatch, fixture_csv_paths, command, failing_call
+):
+    nodes, edges = fixture_csv_paths
+    argv = [*command, "--nodes", str(nodes), "--edges", str(edges), "--from", "1950", "--to", "1980"]
+    with forced_workers(1):
+        assert cli.main(argv) == 0
+    expected = capsys.readouterr()
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(os.getpid())
+        if len(forks) == failing_call:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with forced_workers(3):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out and not expected.err
+    assert len(forks) == 2
     assert_no_child_left()
 
 

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from gridtopo.cli import main
 from gridtopo.grid_log import (
     NODE_KINDS,
+    EdgeRecord,
     GridLogError,
+    NodeRecord,
+    TemporalGridLog,
     active_elements,
     line_count_series,
     load_log,
@@ -22,8 +25,8 @@ from gridtopo.grid_log import (
 )
 
 import properties
-from conftest import churn_csv
-from oracles import reference_parse_log
+from conftest import bench_log_csv, churn_csv
+from oracles import reference_line_count_series, reference_parse_log
 
 NODES_HEADER = "id,name,kind,commissioned,decommissioned,domestic\n"
 EDGES_HEADER = "id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic\n"
@@ -181,6 +184,43 @@ def test_line_count_direct():
     )
     assert line_count_series(log, {220}, False, [1970]) == [3]
     assert line_count_series(log, {400}, False, [1960, 1970]) == [0, 0]
+
+
+VOLTAGE_SETS = [{120}, {220}, {400}, {220, 400}, {120, 220, 400}, {110, 380}]
+# out-of-range, repeated and unsorted years too
+COUNT_YEARS = [*range(1940, 2031), 2019, 1950, 1975, 1949]
+
+
+@pytest.mark.parametrize("bench_log", [None, (350, 1, False), (400, 1, True), (400, 2, True)])
+def test_line_counts_equal_the_per_year_count(fixture_log, bench_log):
+    log = fixture_log if bench_log is None else parse_log(*bench_log_csv(*bench_log))
+    for voltages in VOLTAGE_SETS:
+        for domestic_only in (False, True):
+            expected = reference_line_count_series(log, voltages, domestic_only, COUNT_YEARS)
+            assert line_count_series(log, voltages, domestic_only, COUNT_YEARS) == expected, voltages
+    assert any(reference_line_count_series(log, {220, 400}, True, COUNT_YEARS))
+
+
+def test_a_line_counts_only_while_both_endpoints_are_active():
+    # built directly: the parser rejects lines that outlive an endpoint or have no endpoint
+    nodes = (
+        NodeRecord("A", "A", "substation", 1950, 1970, True),
+        NodeRecord("B", "B", "substation", 1955, None, True),
+        NodeRecord("C", "C", "substation", 1940, 1960, False),
+    )
+    edges = (
+        EdgeRecord("ab", "A", "B", 220, 1945, 1980, True),
+        EdgeRecord("bc", "B", "C", 220, 1950, None, True),
+        EdgeRecord("ac", "A", "C", 220, 1958, 1958, True),
+        EdgeRecord("cb", "C", "B", 220, 1962, None, True),
+        EdgeRecord("az", "A", "Z", 220, 1950, None, True),
+    )
+    log = TemporalGridLog(nodes, edges)
+    years = list(range(1940, 1985))
+    counts = line_count_series(log, {220}, False, years)
+    assert counts == reference_line_count_series(log, {220}, False, years)
+    assert {year for year, count in zip(years, counts) if count} == set(range(1955, 1970))
+    assert counts[years.index(1957)] == 2
 
 
 def test_line_count_domestic_only_excludes_cross_border(fixture_log):
