@@ -74,13 +74,12 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("cs
 def _year_range(args) -> range:
     if args.year_to < args.year_from:
         raise ValueError(f"--to {args.year_to} is before --from {args.year_from}")
-    years = range(args.year_from, args.year_to + 1)
-    if len(years) > MAX_YEAR_SPAN:
+    span = args.year_to - args.year_from + 1  # len(range) overflows past sys.maxsize
+    if span > MAX_YEAR_SPAN:
         raise ValueError(
-            f"--from {args.year_from} --to {args.year_to} spans {len(years)} years, "
-            f"more than {MAX_YEAR_SPAN}"
+            f"--from {args.year_from} --to {args.year_to} spans {span} years, more than {MAX_YEAR_SPAN}"
         )
-    return years
+    return range(args.year_from, args.year_to + 1)
 
 
 def _cmd_snapshot(args) -> int:
@@ -273,19 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_errors() -> tuple[type[Exception], ...]:
-    """The errors a command reports in one line; a fit's only once a fit could have run."""
-    degree_fit = sys.modules.get(f"{__package__}.degree_fit")
-    if degree_fit is None:
-        return ValueError, OSError
-    return ValueError, OSError, degree_fit.FitNotConverged
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _command_errors() as exc:  # evaluated only once an error is raised
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,7 @@ class FitComparison(NamedTuple):
     tail_residuals: tuple[TailResidual, ...]
 
 
-class FitNotConverged(RuntimeError):
+class FitNotConverged(ValueError):
     """Raised when the iteration cap is hit or the fit stalls on the shape > 0
     boundary; carries the last iterate."""
 

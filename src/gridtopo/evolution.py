@@ -3,7 +3,7 @@
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
 A year whose graph equals the previous year's reuses that year's record:
-every column but ``year`` depends only on the graph and the seed.  So the
+every column but ``year`` depends only on the graph.  So the
 distinct graphs can be computed in any order and in any process: where
 ``os.fork`` exists and they cost at least ``MIN_FORK_COST``, they are split
 into up to ``MAX_WORKERS`` shares, and every share but the first runs in a
@@ -55,11 +55,6 @@ def _record_field(name: str) -> str:
 class MetricTimeSeries(NamedTuple):
     years: tuple[int, ...]
     records: tuple[MetricsRecord, ...]
-
-    def metric(self, name: str) -> list:
-        """Column view by CSV column name; absent values stay None."""
-        attr = _record_field(name)
-        return [getattr(record, attr) for record in self.records]
 
     def to_csv(self) -> str:
         lines = [METRICS_CSV_HEADER]
@@ -269,8 +264,8 @@ def _unpickled(payload: bytes, status: int) -> list[MetricsRecord]:
     """A child's records, or its error raised again."""
     import pickle
 
-    if not payload:
-        raise RuntimeError(f"worker process ended with wait status {status} and sent no records")
+    if not payload:  # an OSError, so the CLI reports it in one line
+        raise ChildProcessError(f"worker process ended with wait status {status} and sent no records")
     ok, value = pickle.loads(payload)
     if not ok:
         raise value

@@ -7,6 +7,7 @@ of this implementation.  Nodes are labelled 0..n-1.
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from typing import NamedTuple
@@ -17,6 +18,10 @@ _REWIRE_ATTEMPTS = 10000
 # most nodes a generator accepts: erdos_renyi draws all n(n-1)/2 pairs, so
 # 10^4 nodes (the largest national grid) take seconds and 10^8 would take days
 MAX_NODES = 10**4
+# most edges a generator makes (erdos_renyi: its expected count), checked before
+# any draw: 20 times the watts_strogatz k=10 graph at MAX_NODES, where an
+# erdos_renyi with p=1 would ask for 5e7 (5e5 edges already peaked at 103 MB)
+MAX_EDGES = 10**6
 
 
 class GeneratorSpec(NamedTuple):
@@ -52,11 +57,17 @@ def _check_n(n: int) -> None:
         raise ValueError(f"generators accept at most {MAX_NODES} nodes, not {n}")
 
 
+def _check_edges(edges: float) -> None:
+    if edges > MAX_EDGES:
+        raise ValueError(f"generators make at most {MAX_EDGES} edges, not {math.ceil(edges)}")
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> GraphSnapshot:
     """Each unordered pair becomes an edge independently with probability p."""
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    _check_edges(p * n * (n - 1) / 2)
     rng = random.Random(seed)
     edges = []
     for i in range(n - 1):
@@ -81,6 +92,7 @@ def watts_strogatz(n: int, k: int, p: float, seed: int) -> GraphSnapshot:
         raise ValueError("ring degree k must satisfy 0 <= k < n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("rewire probability must lie in [0, 1]")
+    _check_edges(n * k // 2)
     rng = random.Random(seed)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -125,6 +137,7 @@ def barabasi_albert(n: int, m: int, seed: int) -> GraphSnapshot:
     _check_n(n)
     if not 1 <= m < n:
         raise ValueError("attachment count m must satisfy 1 <= m < n")
+    _check_edges(m * (m + 1) // 2 + m * (n - m - 1))
     rng = random.Random(seed)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m + 1)]
     # one entry per incident edge; sampling from it is degree-proportional

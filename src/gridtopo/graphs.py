@@ -94,7 +94,7 @@ class ComponentPartition(NamedTuple):
 def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
     """Materialize the simple graph of elements in service during ``year``."""
     node_ids, edges = active_elements(log, year)
-    return GraphSnapshot(node_ids, (e.endpoints for e in edges), year=year)
+    return GraphSnapshot(node_ids, ((e.node_a, e.node_b) for e in edges), year=year)
 
 
 def connected_components(snapshot: GraphSnapshot) -> ComponentPartition:

@@ -46,13 +46,6 @@ class EdgeRecord(NamedTuple):
     decommissioned: int | None
     domestic: bool
 
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        """Unordered endpoint pair in canonical (sorted) order."""
-        if self.node_a <= self.node_b:
-            return (self.node_a, self.node_b)
-        return (self.node_b, self.node_a)
-
 
 class CircuitMerge(NamedTuple):
     """Note that parallel circuits were collapsed into one connection."""
@@ -162,6 +155,8 @@ def _parse_nodes(source: str | TextIO) -> dict[str, NodeRecord]:
             by_id[node_id] = NodeRecord(node_id, name.strip(), kind, commissioned, decommissioned, flag)
     except csv.Error as exc:
         raise GridLogError(f"nodes row {row_num + 1}: {exc}") from None
+    except UnicodeDecodeError:  # no row number: text is decoded ahead of the row being read
+        raise GridLogError("nodes: not valid UTF-8 text") from None
     return by_id
 
 
@@ -227,6 +222,8 @@ def _parse_edges(source: str | TextIO, nodes_by_id: dict[str, NodeRecord]) -> li
             records.append(EdgeRecord(edge_id, node_a, node_b, voltage_kv, commissioned, decommissioned, flag))
     except csv.Error as exc:
         raise GridLogError(f"edges row {row_num + 1}: {exc}") from None
+    except UnicodeDecodeError:  # no row number: text is decoded ahead of the row being read
+        raise GridLogError("edges: not valid UTF-8 text") from None
     return records
 
 
@@ -248,7 +245,7 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
             by_pair.setdefault((node_a, node_b) if node_a <= node_b else (node_b, node_a), []).append(edge)
     notes: list[CircuitMerge] = []
 
-    def flush(cluster: list[EdgeRecord], end: int | None) -> None:
+    def flush(pair: tuple[str, str], cluster: list[EdgeRecord], end: int | None) -> None:
         if len(cluster) == 1:
             merged.append(cluster[0])
             return
@@ -263,8 +260,8 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
             CircuitMerge(
                 kept_id=first.id,
                 merged_ids=tuple(e.id for e in cluster),
-                node_a=first.endpoints[0],
-                node_b=first.endpoints[1],
+                node_a=pair[0],
+                node_b=pair[1],
                 commissioned=combined.commissioned,
                 decommissioned=combined.decommissioned,
             )
@@ -280,10 +277,10 @@ def _merge_parallel(edges: list[EdgeRecord]) -> tuple[list[EdgeRecord], list[Cir
                 if end is not None:
                     end = None if edge.decommissioned is None else max(end, edge.decommissioned)
             else:
-                flush(cluster, end)
+                flush(pair, cluster, end)
                 cluster = [edge]
                 end = edge.decommissioned
-        flush(cluster, end)
+        flush(pair, cluster, end)
     merged.extend(group[0] for group in by_pair.values() if len(group) == 1)
     merged.sort(key=attrgetter("id"))
     return merged, notes
@@ -307,40 +304,6 @@ def load_log(nodes_path: str | Path, edges_path: str | Path) -> TemporalGridLog:
     with open(nodes_path, newline="", encoding="utf-8") as nodes_file:
         with open(edges_path, newline="", encoding="utf-8") as edges_file:
             return parse_log(nodes_file, edges_file)
-
-
-def to_csv(log: TemporalGridLog) -> tuple[str, str]:
-    """Emit the canonical (merged, sorted) log as (nodes_csv, edges_csv)."""
-    nodes_out = io.StringIO()
-    writer = csv.writer(nodes_out, lineterminator="\n")
-    writer.writerow(NODES_COLUMNS)
-    for n in log.nodes:
-        writer.writerow(
-            [
-                n.id,
-                n.name,
-                n.kind,
-                n.commissioned,
-                "" if n.decommissioned is None else n.decommissioned,
-                "true" if n.domestic else "false",
-            ]
-        )
-    edges_out = io.StringIO()
-    writer = csv.writer(edges_out, lineterminator="\n")
-    writer.writerow(EDGES_COLUMNS)
-    for e in log.edges:
-        writer.writerow(
-            [
-                e.id,
-                e.node_a,
-                e.node_b,
-                e.voltage_kv,
-                e.commissioned,
-                "" if e.decommissioned is None else e.decommissioned,
-                "true" if e.domestic else "false",
-            ]
-        )
-    return nodes_out.getvalue(), edges_out.getvalue()
 
 
 # ---------------------------------------------------------------------------

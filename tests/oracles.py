@@ -11,7 +11,8 @@ CCDF values from direct tail counting, CCDF fits from the numpy
 Gauss-Newton iteration that the pure-Python fit replaced, time series
 from one full record per year, with no reuse of a repeated year's record,
 grid logs from the row-by-row parser that the one-pass parse replaced,
-and line counts from the active lines of each year in turn.
+and line counts from the active lines of each year in turn.  ``to_csv``
+writes a log back out as canonical CSV for the round-trip tests.
 """
 
 from __future__ import annotations
@@ -692,3 +693,37 @@ def reference_parse_log(nodes_source: str | TextIO, edges_source: str | TextIO) 
     merged, notes = _merge_parallel(edges)
     nodes.sort(key=lambda n: n.id)
     return TemporalGridLog(nodes=tuple(nodes), edges=tuple(merged), merges=tuple(notes))
+
+
+def to_csv(log: TemporalGridLog) -> tuple[str, str]:
+    """Emit the canonical (merged, sorted) log as (nodes_csv, edges_csv)."""
+    nodes_out = io.StringIO()
+    writer = csv.writer(nodes_out, lineterminator="\n")
+    writer.writerow(NODES_COLUMNS)
+    for n in log.nodes:
+        writer.writerow(
+            [
+                n.id,
+                n.name,
+                n.kind,
+                n.commissioned,
+                "" if n.decommissioned is None else n.decommissioned,
+                "true" if n.domestic else "false",
+            ]
+        )
+    edges_out = io.StringIO()
+    writer = csv.writer(edges_out, lineterminator="\n")
+    writer.writerow(EDGES_COLUMNS)
+    for e in log.edges:
+        writer.writerow(
+            [
+                e.id,
+                e.node_a,
+                e.node_b,
+                e.voltage_kv,
+                e.commissioned,
+                "" if e.decommissioned is None else e.decommissioned,
+                "true" if e.domestic else "false",
+            ]
+        )
+    return nodes_out.getvalue(), edges_out.getvalue()

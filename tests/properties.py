@@ -36,11 +36,11 @@ from gridtopo import (
     watts_strogatz,
 )
 from gridtopo.degree_fit import Ccdf
-from gridtopo.grid_log import active_elements, to_csv
+from gridtopo.grid_log import active_elements
 from gridtopo.metrics import path_stats
 
 from conftest import clique_union, demo_log, random_graph
-from oracles import brute_modularity, floyd_warshall, has_edge, shortest_path_lengths, union_find_components
+from oracles import brute_modularity, floyd_warshall, has_edge, shortest_path_lengths, to_csv, union_find_components
 
 
 def _sample_graphs(count: int, max_n: int, seed0: int) -> list[GraphSnapshot]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gridtopo import communities, degree_fit, evolution
+from gridtopo import communities, degree_fit, evolution, generators
 from gridtopo.cli import MAX_RESTARTS, MAX_YEAR_SPAN, _year_range, main
 from gridtopo.degree_fit import FitResult
 from gridtopo.evolution import pearson
@@ -370,6 +370,37 @@ def test_generate_node_count_is_bounded(capsys):
     assert err == f"error: generators accept at most {MAX_NODES} nodes, not 100000000\n"
 
 
+@pytest.mark.parametrize(
+    "kind, params, edges",
+    [
+        ("erdos_renyi", ["--p", "1"], 45),
+        ("erdos_renyi", ["--p", "0.5"], 23),  # 22.5 expected
+        ("watts_strogatz", ["--k", "4", "--p", "0.1"], 20),
+        ("barabasi_albert", ["--m", "3"], 24),
+    ],
+)
+def test_generate_edge_count_is_bounded(capsys, monkeypatch, kind, params, edges):
+    argv = ["generate", "--kind", kind, "--n", "10", *params]
+    monkeypatch.setattr(generators, "MAX_EDGES", edges - 1)
+    assert run_cli(capsys, *argv) == (1, "", f"error: generators make at most {edges - 1} edges, not {edges}\n")
+    monkeypatch.setattr(generators, "MAX_EDGES", edges)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("table", ["nodes", "edges"])
+def test_a_log_that_is_not_utf8_names_its_table(capsys, tmp_path, fixture_csv_paths, table):
+    paths = dict(zip(("nodes", "edges"), fixture_csv_paths))
+    text = paths[table].read_bytes()
+    row_2 = text.index(b"\n") + 1
+    paths[table] = tmp_path / f"{table}.csv"
+    paths[table].write_bytes(text[:row_2] + b"\xff" + text[row_2:])
+    code, out, err = run_cli(
+        capsys, "snapshot", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--year", "1970"
+    )
+    assert (code, out, err) == (1, "", f"error: {table}: not valid UTF-8 text\n")
+
+
 CORRELATE_RANGE = ["--from", "1950", "--to", "1980"]
 
 
@@ -391,6 +422,15 @@ CORRELATE_RANGE = ["--from", "1950", "--to", "1980"]
         ),
         (["communities", "--year", "1970", "--restarts", "0"], "restarts must be at least 1"),
         (["communities", "--year", "1970", "--restarts", "1001"], f"--restarts 1001 is more than {MAX_RESTARTS}"),
+        # spans past sys.maxsize, which a range cannot measure
+        (
+            ["timeseries", "--from", "-99999999999999999999", "--to", "1950"],
+            f"--from -99999999999999999999 --to 1950 spans 100000000000000001950 years, more than {MAX_YEAR_SPAN}",
+        ),
+        (
+            ["correlate", "--voltages", "220", "--from", "0", "--to", "99999999999999999999"],
+            f"--from 0 --to 99999999999999999999 spans 100000000000000000000 years, more than {MAX_YEAR_SPAN}",
+        ),
     ],
 )
 def test_arguments_are_checked_before_the_log_is_read(capsys, tmp_path, argv, message):
@@ -422,6 +462,8 @@ def test_year_range_is_bounded():
         years(1950, 1950 + MAX_YEAR_SPAN)
     with pytest.raises(ValueError, match="--from 1950 --to 20200 spans 18251 years"):
         years(1950, 20200)
+    with pytest.raises(ValueError, match=f"spans {2**64} years"):
+        years(-(2**63), 2**63 - 1)
 
 
 def test_outputs_reproducible(capsys, tmp_path, fixture_csv_paths):

@@ -196,9 +196,10 @@ def _assert_matches_reference(ccdf: Ccdf, rel: float, fields=_PARAMETERS + _GOOD
         try:
             with np.errstate(all="ignore"):
                 expected[model] = reference_fit_model(ccdf, model)
-        except (ValueError, FitNotConverged) as exc:
-            with pytest.raises(type(exc)):
+        except ValueError as exc:  # FitNotConverged included
+            with pytest.raises(ValueError) as raised:
                 fit_model(ccdf, model)
+            assert type(raised.value) is type(exc), (model, raised.value, exc)
             continue
         try:
             got = fit_model(ccdf, model)

@@ -178,7 +178,8 @@ def test_timeseries_equals_reference_on_churn_logs(seed):
 @pytest.mark.parametrize("metric, communities", [("sigma", 0), ("Q", 35)])
 def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, communities):
     log = churn_log(1)
-    expected = MetricTimeSeries(tuple(CHURN_YEARS), reference_timeseries(log, CHURN_YEARS, 42)).metric(metric)
+    attr = {"sigma": "sigma", "Q": "modularity_q"}[metric]
+    expected = [getattr(record, attr) for record in reference_timeseries(log, CHURN_YEARS, 42)]
     # calls made in forked children are not counted here, so compute in process
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)
     calls = Counter()
@@ -328,7 +329,7 @@ def raising_in(monkeypatch, where, error):
         # a class no module holds cannot be pickled
         ("child", lambda: type("LocalError", (Exception,), {})("local"), RuntimeError, "^LocalError: local$"),
         # the child ends before it sends anything
-        ("child", lambda: os._exit(3), RuntimeError, "^worker process ended with wait status 768 and sent no"),
+        ("child", lambda: os._exit(3), ChildProcessError, "^worker process ended with wait status 768 and sent no"),
         ("parent", lambda: ValueError("bad year"), ValueError, "^bad year$"),
         ("parent", KeyboardInterrupt, KeyboardInterrupt, "^$"),
     ],
@@ -339,6 +340,17 @@ def test_an_error_in_any_share_is_raised_and_every_child_reaped(
     raising_in(monkeypatch, where, error)
     with forced_workers(3), pytest.raises(expected, match=message):
         compute_timeseries(fixture_log, range(1950, 1981))
+    assert_no_child_left()
+
+
+def test_a_dead_worker_is_a_one_line_cli_error(capsys, monkeypatch, fixture_csv_paths):
+    raising_in(monkeypatch, "child", lambda: os._exit(9))
+    nodes, edges = fixture_csv_paths
+    with forced_workers(3):
+        code = cli.main(["timeseries", "--nodes", str(nodes), "--edges", str(edges), "--from", "1950", "--to", "1980"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: worker process ended with wait status 2304 and sent no records\n"
     assert_no_child_left()
 
 
@@ -426,10 +438,10 @@ def test_timeseries_undefined_metrics_are_none_not_zero(fixture_log):
 
 def test_metric_view_and_unknown_name(fixture_log):
     series = compute_timeseries(fixture_log, range(1950, 1953))
-    assert series.metric("N") == [2, 2, 3]
-    assert series.metric("sigma")[0] is None
-    with pytest.raises(ValueError, match="unknown metric"):
-        series.metric("bogus")
+    assert [record.num_nodes for record in series.records] == [2, 2, 3]
+    assert series.records[0].sigma is None
+    with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
+        correlate_with_line_count(fixture_log, "bogus", [220], False, range(1950, 1953))
 
 
 def test_pearson_trivial_cases():
@@ -478,9 +490,8 @@ def test_fixture_crossing_year_matches_mesh_activation(fixture_log):
     result = small_world_transition(series)
     assert result.first_year == 1966
     assert result.crossings == ((1966, "up"),)
-    clustering = series.metric("C")
-    assert clustering[series.years.index(1960)] == 0.0
-    assert clustering[series.years.index(1961)] > 0.0
+    assert series.records[series.years.index(1960)].clustering == 0.0
+    assert series.records[series.years.index(1961)].clustering > 0.0
 
 
 def test_correlation_report_drops_undefined_years(fixture_log):

@@ -9,6 +9,7 @@ import pytest
 from gridtopo import generators
 from gridtopo.cli import GENERATOR_KINDS
 from gridtopo.generators import (
+    MAX_EDGES,
     MAX_NODES,
     GeneratorSpec,
     barabasi_albert,
@@ -120,14 +121,15 @@ def test_invariant_er_clustering_baseline():
     properties.check_er_clustering_near_baseline()
 
 
-def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
-    def no_draws(seed):
-        raise AssertionError(f"sampler started (seed {seed})")
+def no_draws(seed):
+    raise AssertionError(f"sampler started (seed {seed})")
 
+
+def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
     monkeypatch.setattr(generators, "random", SimpleNamespace(Random=no_draws))
     assert MAX_NODES >= 10**4  # a national grid's node count
     for make in (
-        lambda n: erdos_renyi(n, 0.5, 1),
+        lambda n: erdos_renyi(n, 0.01, 1),  # p=0.5 would pass MAX_EDGES
         lambda n: watts_strogatz(n, 4, 0.1, 1),
         lambda n: barabasi_albert(n, 2, 1),
     ):
@@ -136,3 +138,23 @@ def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
             make(MAX_NODES + 1)
         with pytest.raises(AssertionError, match="sampler started"):
             make(MAX_NODES)
+
+
+@pytest.mark.parametrize(
+    "make, edges",
+    [
+        (lambda: erdos_renyi(10, 1.0, 1), 45),
+        (lambda: watts_strogatz(10, 4, 0.1, 1), 20),
+        (lambda: barabasi_albert(10, 3, 1), 24),
+    ],
+)
+def test_edge_count_cap_is_checked_before_any_draw(monkeypatch, make, edges):
+    assert MAX_EDGES >= 20 * 10**4 * 10 // 2  # a national grid's WS k=10 graph, 20 times over
+    assert make().num_edges == edges  # the cap counts the edges the generator makes
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=no_draws))
+    monkeypatch.setattr(generators, "MAX_EDGES", edges - 1)
+    with pytest.raises(ValueError, match=f"^generators make at most {edges - 1} edges, not {edges}$"):
+        make()
+    monkeypatch.setattr(generators, "MAX_EDGES", edges)
+    with pytest.raises(AssertionError, match="sampler started"):
+        make()

@@ -21,12 +21,11 @@ from gridtopo.grid_log import (
     line_count_series,
     load_log,
     parse_log,
-    to_csv,
 )
 
 import properties
 from conftest import bench_log_csv, churn_csv
-from oracles import reference_line_count_series, reference_parse_log
+from oracles import reference_line_count_series, reference_parse_log, to_csv
 
 NODES_HEADER = "id,name,kind,commissioned,decommissioned,domestic\n"
 EDGES_HEADER = "id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic\n"
