@@ -15,12 +15,10 @@ _EXPORTS = {
     "evolution": (
         "CorrelationReport",
         "MetricTimeSeries",
-        "SigmaCrossings",
         "compute_metrics_record",
         "compute_timeseries",
         "correlate_with_line_count",
         "pearson",
-        "small_world_transition",
     ),
     "generators": ("GeneratorSpec", "barabasi_albert", "erdos_renyi", "generate", "watts_strogatz"),
     "graphs": ("ComponentPartition", "GraphSnapshot", "build_snapshot", "connected_components", "to_edgelist"),

@@ -88,7 +88,7 @@ def _cmd_snapshot(args) -> int:
     from .metrics import METRICS_CSV_HEADER
 
     log = load_log(args.nodes, args.edges)
-    record = compute_metrics_record(build_snapshot(log, args.year), args.seed)
+    record = compute_metrics_record(build_snapshot(log, args.year))
     if args.format == "json":
         import json
 
@@ -104,7 +104,7 @@ def _cmd_timeseries(args) -> int:
 
     years = _year_range(args)
     log = load_log(args.nodes, args.edges)
-    series = compute_timeseries(log, years, args.seed)
+    series = compute_timeseries(log, years)
     if args.format == "json":
         import json
 
@@ -167,7 +167,7 @@ def _cmd_correlate(args) -> int:
     if not voltages:
         raise ValueError("voltage filter must not be empty")
     log = load_log(args.nodes, args.edges)
-    report = correlate_with_line_count(log, args.metric, voltages, args.domestic_only, years, args.seed)
+    report = correlate_with_line_count(log, args.metric, voltages, args.domestic_only, years)
     if args.out is not None:
         lines = [f"year,{report.metric},line_count"]
         for year, value, count in zip(report.years, report.metric_values, report.line_counts):

@@ -1,4 +1,4 @@
-"""Per-year analysis across the log: time series, correlation, transitions.
+"""Per-year analysis across the log: time series and correlation.
 
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
@@ -62,13 +62,6 @@ class MetricTimeSeries(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class SigmaCrossings(NamedTuple):
-    """First year with sigma > 1 (None if never) and every crossing."""
-
-    first_year: int | None
-    crossings: tuple[tuple[int, str], ...]  # (year, "up" or "down")
-
-
 class CorrelationReport(NamedTuple):
     metric: str
     r: float
@@ -78,9 +71,7 @@ class CorrelationReport(NamedTuple):
     dropped_years: tuple[int, ...]
 
 
-def compute_metrics_record(
-    snapshot: GraphSnapshot, community_seed: int = 42, *, modularity: bool = True
-) -> MetricsRecord:
+def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) -> MetricsRecord:
     """Full metric row for one snapshot; undefined metrics become None.
 
     ``modularity=False`` skips community detection and leaves Q None, for
@@ -102,7 +93,7 @@ def compute_metrics_record(
     sigma = None
     if clustering is not None and path_length is not None and random_c is not None:
         sigma = small_world_sigma(clustering, random_c, path_length, random_l)[0]
-    q = detect_communities(snapshot, community_seed).achieved_q if modularity and e >= 1 else None
+    q = detect_communities(snapshot).achieved_q if modularity and e >= 1 else None
 
     return MetricsRecord(
         year=snapshot.year,
@@ -121,10 +112,10 @@ def compute_metrics_record(
     )
 
 
-def compute_timeseries(log: TemporalGridLog, years: Sequence[int], seed: int = 42) -> MetricTimeSeries:
-    """One MetricsRecord per year, communities detected with a fixed seed."""
+def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> MetricTimeSeries:
+    """One MetricsRecord per year."""
     years = _checked_years(years)
-    return MetricTimeSeries(tuple(years), tuple(_yearly_records(log, years, seed)))
+    return MetricTimeSeries(tuple(years), tuple(_yearly_records(log, years)))
 
 
 def _checked_years(years: Sequence[int]) -> list[int]:
@@ -136,9 +127,7 @@ def _checked_years(years: Sequence[int]) -> list[int]:
     return years
 
 
-def _yearly_records(
-    log: TemporalGridLog, years: list[int], seed: int, *, modularity: bool = True
-) -> list[MetricsRecord]:
+def _yearly_records(log: TemporalGridLog, years: list[int], *, modularity: bool = True) -> list[MetricsRecord]:
     """One record per year, computed only when the graph differs from the previous year's."""
     distinct: list[GraphSnapshot] = []
     graph_of_year = []  # index into distinct, per year
@@ -147,7 +136,7 @@ def _yearly_records(
         if not distinct or not snapshot.same_graph(distinct[-1]):
             distinct.append(snapshot)
         graph_of_year.append(len(distinct) - 1)
-    records = _distinct_records(distinct, seed, modularity)
+    records = _distinct_records(distinct, modularity)
     return [records[i]._replace(year=year) for i, year in zip(graph_of_year, years)]
 
 
@@ -182,7 +171,7 @@ def _shares(costs: Sequence[int], workers: int) -> list[list[int]]:
     return shares
 
 
-def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: bool) -> list[MetricsRecord]:
+def _distinct_records(snapshots: list[GraphSnapshot], modularity: bool) -> list[MetricsRecord]:
     """One record per snapshot; every share but the first is computed in a forked child.
 
     A child inherits the snapshots, so only its records cross its pipe.  A
@@ -195,7 +184,7 @@ def _distinct_records(snapshots: list[GraphSnapshot], seed: int, modularity: boo
     shares = _shares(costs, _worker_count(len(snapshots)) if sum(costs) >= MIN_FORK_COST else 1)
 
     def compute(share: list[int]) -> list[MetricsRecord]:
-        return [compute_metrics_record(snapshots[i], seed, modularity=modularity) for i in share]
+        return [compute_metrics_record(snapshots[i], modularity=modularity) for i in share]
 
     children = []  # (pid, read end of its pipe, share) until it is reaped
     try:
@@ -291,37 +280,8 @@ def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def small_world_transition(series: MetricTimeSeries) -> SigmaCrossings:
-    """Scan the sigma column for threshold crossings of 1.
-
-    Years with undefined sigma are skipped; the above/below state
-    persists across such gaps.
-    """
-    above = False
-    first_year = None
-    crossings: list[tuple[int, str]] = []
-    for year, record in zip(series.years, series.records):
-        sigma = record.sigma
-        if sigma is None:
-            continue
-        if sigma > 1 and not above:
-            crossings.append((year, "up"))
-            above = True
-            if first_year is None:
-                first_year = year
-        elif sigma <= 1 and above:
-            crossings.append((year, "down"))
-            above = False
-    return SigmaCrossings(first_year, tuple(crossings))
-
-
 def correlate_with_line_count(
-    log: TemporalGridLog,
-    metric: str,
-    voltages: Sequence[int],
-    domestic_only: bool,
-    years: Sequence[int],
-    seed: int = 42,
+    log: TemporalGridLog, metric: str, voltages: Sequence[int], domestic_only: bool, years: Sequence[int]
 ) -> CorrelationReport:
     """Pearson r between a metric time series and active line counts.
 
@@ -332,7 +292,7 @@ def correlate_with_line_count(
     years = _checked_years(years)
     attr = _record_field(metric)
     counts = line_count_series(log, voltages, domestic_only, years)
-    records = _yearly_records(log, years, seed, modularity=attr == "modularity_q")
+    records = _yearly_records(log, years, modularity=attr == "modularity_q")
     metric_values = [getattr(record, attr) for record in records]
     used_years, used_values, used_counts, dropped = [], [], [], []
     for year, value, count in zip(years, metric_values, counts):

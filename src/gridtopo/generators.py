@@ -19,9 +19,9 @@ _REWIRE_ATTEMPTS = 10000
 # 10^4 nodes (the largest national grid) take seconds and 10^8 would take days
 MAX_NODES = 10**4
 # most edges a generator makes (erdos_renyi: its expected count), checked before
-# any draw: 20 times the watts_strogatz k=10 graph at MAX_NODES, where an
-# erdos_renyi with p=1 would ask for 5e7 (5e5 edges already peaked at 103 MB)
-MAX_EDGES = 10**6
+# any draw: 4 times the watts_strogatz k=10 graph at MAX_NODES.  A `generate`
+# run at this cap peaked at 63-91 MB, 10^6 edges at 402 MB (Python 3.11)
+MAX_EDGES = 2 * 10**5
 
 
 class GeneratorSpec(NamedTuple):

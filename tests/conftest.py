@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import os
 import random
 import sys
 from pathlib import Path
@@ -12,6 +13,10 @@ from gridtopo import GraphSnapshot, TemporalGridLog, load_log
 from gridtopo.data import expected_metrics_path, fixture_paths
 
 BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the tests that start an interpreter run the package from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_graph(n: int, p: float, seed: int) -> GraphSnapshot:

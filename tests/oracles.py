@@ -12,7 +12,9 @@ Gauss-Newton iteration that the pure-Python fit replaced, time series
 from one full record per year, with no reuse of a repeated year's record,
 grid logs from the row-by-row parser that the one-pass parse replaced,
 and line counts from the active lines of each year in turn.  ``to_csv``
-writes a log back out as canonical CSV for the round-trip tests.
+writes a log back out as canonical CSV for the round-trip tests, and
+``small_world_transition`` reads the years where a time series' sigma
+crosses 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import io
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -105,9 +107,40 @@ def reference_path_stats(snapshot):
     return parts, total, longest
 
 
-def reference_timeseries(log, years, seed):
+def reference_timeseries(log, years):
     """``compute_timeseries`` records, each year computed from its own snapshot."""
-    return tuple(compute_metrics_record(build_snapshot(log, year), seed) for year in years)
+    return tuple(compute_metrics_record(build_snapshot(log, year)) for year in years)
+
+
+class SigmaCrossings(NamedTuple):
+    """First year with sigma > 1 (None if never) and every crossing."""
+
+    first_year: int | None
+    crossings: tuple[tuple[int, str], ...]  # (year, "up" or "down")
+
+
+def small_world_transition(series) -> SigmaCrossings:
+    """Scan the sigma column of a time series for threshold crossings of 1.
+
+    Years with undefined sigma are skipped; the above/below state
+    persists across such gaps.
+    """
+    above = False
+    first_year = None
+    crossings: list[tuple[int, str]] = []
+    for year, record in zip(series.years, series.records):
+        sigma = record.sigma
+        if sigma is None:
+            continue
+        if sigma > 1 and not above:
+            crossings.append((year, "up"))
+            above = True
+            if first_year is None:
+                first_year = year
+        elif sigma <= 1 and above:
+            crossings.append((year, "down"))
+            above = False
+    return SigmaCrossings(first_year, tuple(crossings))
 
 
 def union_find_components(snapshot) -> list[frozenset[int]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -431,11 +432,15 @@ CORRELATE_RANGE = ["--from", "1950", "--to", "1980"]
             ["correlate", "--voltages", "220", "--from", "0", "--to", "99999999999999999999"],
             f"--from 0 --to 99999999999999999999 spans 100000000000000000000 years, more than {MAX_YEAR_SPAN}",
         ),
+        # generate reads no log
+        (["generate", "--kind", "watts_strogatz", "--n", "10", "--p", "0.1"], "watts_strogatz requires k and p"),
+        (["generate", "--kind", "barabasi_albert", "--n", "10"], "barabasi_albert requires m"),
     ],
 )
 def test_arguments_are_checked_before_the_log_is_read(capsys, tmp_path, argv, message):
     missing = str(tmp_path / "missing.csv")
-    code, out, err = run_cli(capsys, argv[0], "--nodes", missing, "--edges", missing, *argv[1:])
+    log = [] if argv[0] == "generate" else ["--nodes", missing, "--edges", missing]
+    code, out, err = run_cli(capsys, argv[0], *log, *argv[1:])
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
@@ -600,6 +605,31 @@ def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_a_failed_out_write_keeps_the_target_and_leaves_no_temp_file(capsys, monkeypatch, tmp_path, failing):
+    target = tmp_path / "graph.txt"
+    target.write_text("old\n")
+
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if failing == "replace":
+        monkeypatch.setattr(os, "replace", full_disk)
+    else:
+        fdopen = os.fdopen
+
+        def failing_fdopen(*args, **kwargs):
+            handle = fdopen(*args, **kwargs)
+            handle.write = full_disk
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", failing_fdopen)
+    code, out, err = run_cli(capsys, *GENERATE, "--out", str(target))
+    assert (code, out, err) == (1, "", "error: [Errno 28] No space left on device\n")
+    assert os.listdir(tmp_path) == ["graph.txt"]
+    assert target.read_text() == "old\n"
+
+
 def test_invariant_cli_reproducible_outputs():
     properties.check_cli_reproducible_outputs()
 
@@ -641,10 +671,13 @@ FROZEN = Path(__file__).resolve().parent / "frozen"
         (["fit", "--year", "1980", "--model", "exponential", "--format", "json"], "fit_exponential_1980.json"),
         (["snapshot", "--year", "1970", "--format", "json"], "snapshot_1970.json"),
         (["timeseries", "--from", "1950", "--to", "1980", "--format", "json"], "timeseries_1950_1980.json"),
+        (["fit", "--year", "1980", "--model", "power_law", "--format", "csv"], "fit_power_law_1980.csv"),
+        (["fit", "--year", "1980", "--model", "exponential", "--format", "csv"], "fit_exponential_1980.csv"),
     ],
 )
-def test_json_outputs_keep_their_frozen_bytes(capsys, fixture_csv_paths, argv, frozen):
-    # frozen from the CLI as it was when every record was a frozen dataclass
+def test_outputs_keep_their_frozen_bytes(capsys, fixture_csv_paths, argv, frozen):
+    # frozen from earlier versions of the CLI: the JSON when every record was a
+    # frozen dataclass, the CSV when the metric records still took a seed
     code, out, err = run_cli(capsys, argv[0], *log_args(fixture_csv_paths), *argv[1:])
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (FROZEN / frozen).read_bytes()

@@ -92,6 +92,9 @@ def test_fit_rejects_unknown_model_and_bad_points():
         fit_model(Ccdf(((1, 1.0), (1, 0.5), (2, 0.2))), "power_law")
     with pytest.raises(ValueError):
         fit_model(Ccdf(((1, 1.0), (2, 0.5), (3, -0.1))), "power_law")
+    for model in MODELS:
+        with pytest.raises(ValueError, match="^cannot form initial guess: distribution is not decreasing$"):
+            fit_model(Ccdf(((1, 0.2), (2, 0.5), (3, 1.0))), model)
 
 
 def test_fit_handles_noisy_data():

@@ -18,15 +18,14 @@ from gridtopo.evolution import (
     compute_timeseries,
     correlate_with_line_count,
     pearson,
-    small_world_transition,
 )
-from gridtopo.graphs import build_snapshot
+from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.grid_log import parse_log
 from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord
 
 import properties
 from conftest import bench_log_csv, churn_csv
-from oracles import reference_timeseries
+from oracles import reference_timeseries, small_world_transition
 
 CHURN_YEARS = range(1950, 2020)
 
@@ -89,6 +88,11 @@ def test_record_makes_one_components_pass_and_no_single_source_bfs(monkeypatch, 
     assert not any(hasattr(module, "shortest_path_lengths") for module in (graphs, metrics, evolution))
 
 
+def test_a_record_needs_the_snapshot_year():
+    with pytest.raises(ValueError, match="^snapshot carries no year$"):
+        compute_metrics_record(GraphSnapshot(range(3), [(0, 1), (1, 2)]))
+
+
 def test_timeseries_monotone_growth_without_decommissions():
     log = parse_log(GROWTH_NODES, GROWTH_EDGES)
     series = compute_timeseries(log, range(1949, 1960))
@@ -106,9 +110,9 @@ def test_timeseries_row_count():
 
 
 def test_timeseries_matches_single_year_invocations(fixture_log):
-    series = compute_timeseries(fixture_log, range(1950, 1981), seed=42)
+    series = compute_timeseries(fixture_log, range(1950, 1981))
     for year, record in zip(series.years, series.records):
-        independent = compute_metrics_record(build_snapshot(fixture_log, year), 42)
+        independent = compute_metrics_record(build_snapshot(fixture_log, year))
         assert record == independent
 
 
@@ -161,25 +165,25 @@ def few_event_year_logs(draw):
 @settings(max_examples=100, deadline=None)
 @given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
 def test_timeseries_equals_reference_on_logs_with_repeated_years(log, years):
-    assert compute_timeseries(log, years, seed=3).records == reference_timeseries(log, years, 3)
+    assert compute_timeseries(log, years).records == reference_timeseries(log, years)
 
 
 def test_timeseries_equals_reference_on_the_fixture(fixture_log):
     years = range(1950, 1981)
-    assert compute_timeseries(fixture_log, years).records == reference_timeseries(fixture_log, years, 42)
+    assert compute_timeseries(fixture_log, years).records == reference_timeseries(fixture_log, years)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_timeseries_equals_reference_on_churn_logs(seed):
     log = churn_log(seed)
-    assert compute_timeseries(log, CHURN_YEARS, seed).records == reference_timeseries(log, CHURN_YEARS, seed)
+    assert compute_timeseries(log, CHURN_YEARS).records == reference_timeseries(log, CHURN_YEARS)
 
 
 @pytest.mark.parametrize("metric, communities", [("sigma", 0), ("Q", 35)])
 def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, communities):
     log = churn_log(1)
     attr = {"sigma": "sigma", "Q": "modularity_q"}[metric]
-    expected = [getattr(record, attr) for record in reference_timeseries(log, CHURN_YEARS, 42)]
+    expected = [getattr(record, attr) for record in reference_timeseries(log, CHURN_YEARS)]
     # calls made in forked children are not counted here, so compute in process
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)
     calls = Counter()
@@ -213,7 +217,7 @@ def test_forked_records_equal_reference_on_the_fixture(fixture_log, workers):
     years = range(1950, 1981)
     with forced_workers(workers):
         records = compute_timeseries(fixture_log, years).records
-    assert records == reference_timeseries(fixture_log, years, 42)
+    assert records == reference_timeseries(fixture_log, years)
     assert_no_child_left()
 
 
@@ -221,8 +225,8 @@ def test_forked_records_equal_reference_on_the_fixture(fixture_log, workers):
 def test_forked_records_equal_reference_on_churn_logs(seed):
     log = churn_log(seed)
     with forced_workers(3):
-        records = compute_timeseries(log, CHURN_YEARS, seed).records
-    assert records == reference_timeseries(log, CHURN_YEARS, seed)
+        records = compute_timeseries(log, CHURN_YEARS).records
+    assert records == reference_timeseries(log, CHURN_YEARS)
     assert_no_child_left()
 
 
@@ -230,7 +234,7 @@ def test_forked_records_equal_reference_on_churn_logs(seed):
 @given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
 def test_forked_records_equal_reference_on_logs_with_repeated_years(log, years):
     with forced_workers(2):
-        assert compute_timeseries(log, years, seed=3).records == reference_timeseries(log, years, 3)
+        assert compute_timeseries(log, years).records == reference_timeseries(log, years)
 
 
 @pytest.mark.parametrize("metric", ["sigma", "Q"])
@@ -273,7 +277,7 @@ def test_graphs_cheaper_than_a_fork_round_trip_are_computed_in_process(monkeypat
 
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: min(2, distinct))
-    expected = reference_timeseries(fixture_log, years, 42)
+    expected = reference_timeseries(fixture_log, years)
     assert compute_timeseries(fixture_log, years).records == expected
     assert forks == []
     monkeypatch.setattr(evolution, "MIN_FORK_COST", cost)
@@ -295,7 +299,7 @@ def test_one_worker_computes_every_graph_in_process(monkeypatch, fixture_log):
     monkeypatch.setattr(os, "fork", no_fork)
     with forced_workers(1):
         assert compute_timeseries(fixture_log, range(1950, 1981)).records == reference_timeseries(
-            fixture_log, range(1950, 1981), 42
+            fixture_log, range(1950, 1981)
         )
 
 
@@ -495,9 +499,7 @@ def test_fixture_crossing_year_matches_mesh_activation(fixture_log):
 
 
 def test_correlation_report_drops_undefined_years(fixture_log):
-    report = correlate_with_line_count(
-        fixture_log, "sigma", [220, 400], True, range(1950, 1981), seed=42
-    )
+    report = correlate_with_line_count(fixture_log, "sigma", [220, 400], True, range(1950, 1981))
     assert report.dropped_years == (1950, 1951)
     assert len(report.years) == 29
     assert report.r == pearson(report.metric_values, report.line_counts)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from types import SimpleNamespace
 
@@ -129,7 +130,7 @@ def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
     monkeypatch.setattr(generators, "random", SimpleNamespace(Random=no_draws))
     assert MAX_NODES >= 10**4  # a national grid's node count
     for make in (
-        lambda n: erdos_renyi(n, 0.01, 1),  # p=0.5 would pass MAX_EDGES
+        lambda n: erdos_renyi(n, 0.001, 1),  # p=0.01 would pass MAX_EDGES
         lambda n: watts_strogatz(n, 4, 0.1, 1),
         lambda n: barabasi_albert(n, 2, 1),
     ):
@@ -149,7 +150,7 @@ def test_node_count_cap_is_checked_before_any_draw(monkeypatch):
     ],
 )
 def test_edge_count_cap_is_checked_before_any_draw(monkeypatch, make, edges):
-    assert MAX_EDGES >= 20 * 10**4 * 10 // 2  # a national grid's WS k=10 graph, 20 times over
+    assert MAX_EDGES >= 4 * MAX_NODES * 10 // 2  # a national grid's WS k=10 graph, 4 times over
     assert make().num_edges == edges  # the cap counts the edges the generator makes
     monkeypatch.setattr(generators, "random", SimpleNamespace(Random=no_draws))
     monkeypatch.setattr(generators, "MAX_EDGES", edges - 1)
@@ -158,3 +159,22 @@ def test_edge_count_cap_is_checked_before_any_draw(monkeypatch, make, edges):
     monkeypatch.setattr(generators, "MAX_EDGES", edges)
     with pytest.raises(AssertionError, match="sampler started"):
         make()
+
+
+@pytest.mark.parametrize("n, attempts, skipped", [(5, generators._REWIRE_ATTEMPTS, 10), (10, 0, 20)])
+def test_a_rewire_without_a_free_target_is_skipped_and_reported(monkeypatch, n, attempts, skipped):
+    # n=5, k=4: every node links to all the others, so no target is even drawn;
+    # n=10 with no attempts allowed: each rewire gives up and keeps its edge
+    draws = []
+
+    class CountedRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=CountedRandom))
+    monkeypatch.setattr(generators, "_REWIRE_ATTEMPTS", attempts)
+    with pytest.warns(UserWarning, match=rf"^watts_strogatz skipped {skipped} rewires \(no valid target\)$"):
+        rewired = watts_strogatz(n, 4, 1.0, 1)
+    assert rewired == watts_strogatz(n, 4, 0.0, 1)
+    assert draws == []

@@ -19,17 +19,17 @@ from gridtopo import (
     correlate_with_line_count,
     degree_stats,
     detect_communities,
-    small_world_transition,
 )
 from gridtopo.generators import GeneratorSpec
 
-# the names the package exported when it imported every module up front
+# the names the package exported when it imported every module up front, less
+# the sigma-crossing scan, which moved to the test oracles
 OLD_EXPORTS = {
     "communities": ["CommunityAssignment", "detect_communities"],
     "degree_fit": ["Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"],
     "evolution": [
-        "CorrelationReport", "MetricTimeSeries", "SigmaCrossings", "compute_metrics_record",
-        "compute_timeseries", "correlate_with_line_count", "pearson", "small_world_transition",
+        "CorrelationReport", "MetricTimeSeries", "compute_metrics_record", "compute_timeseries",
+        "correlate_with_line_count", "pearson",
     ],
     "generators": ["GeneratorSpec", "barabasi_albert", "erdos_renyi", "generate", "watts_strogatz"],
     "graphs": ["ComponentPartition", "GraphSnapshot", "build_snapshot", "connected_components", "to_edgelist"],
@@ -117,7 +117,6 @@ def every_record(fixture_log):
         degree_stats(snapshot),
         series.records[-1],
         series,
-        small_world_transition(series),
         correlate_with_line_count(fixture_log, "sigma", [220, 400], False, range(1960, 1981)),
         detect_communities(snapshot, 7),
         build_ccdf(degree_stats(snapshot).histogram),
@@ -130,7 +129,7 @@ def every_record(fixture_log):
 
 def test_every_record_survives_a_pickle_round_trip(fixture_log):
     records = every_record(fixture_log)
-    assert len({type(record) for record in records}) == len(records) == 16
+    assert len({type(record) for record in records}) == len(records) == 15
     for record in records:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)
