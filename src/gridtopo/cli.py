@@ -184,11 +184,19 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    import warnings
+
     from .generators import GeneratorSpec, generate
     from .graphs import to_edgelist
 
     spec = GeneratorSpec(kind=args.kind, n=args.n, p=args.p, k=args.k, m=args.m, seed=args.seed)
-    _write_output(to_edgelist(generate(spec)), args.out)
+    # a generator's warning (say, skipped rewires) becomes one line, not Python's file:line and source echo
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        graph = generate(spec)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    _write_output(to_edgelist(graph), args.out)
     return 0
 
 

@@ -2,8 +2,12 @@
 
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
-A year whose graph equals the previous year's reuses that year's record:
-every column but ``year`` depends only on the graph.  So the
+A range's graphs come from one sweep over the log's commission and
+decommission events (``graphs.yearly_snapshots``): a year whose events
+flip no node and no node pair repeats the previous year's graph, and a
+new graph shares every neighbour tuple that the year's events and index
+shifts left alone with the graph before it.  A repeated graph reuses its
+record, since every column but ``year`` depends only on the graph.  So the
 distinct graphs can be computed in any order and in any process: where
 ``os.fork`` exists and they cost at least ``MIN_FORK_COST``, they are split
 into up to ``MAX_WORKERS`` shares, and every share but the first runs in a
@@ -18,7 +22,7 @@ import sys
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .communities import detect_communities
-from .graphs import GraphSnapshot, build_snapshot
+from .graphs import GraphSnapshot, yearly_snapshots
 from .grid_log import TemporalGridLog, line_count_series
 from .metrics import (
     METRICS_CSV_COLUMNS,
@@ -129,13 +133,7 @@ def _checked_years(years: Sequence[int]) -> list[int]:
 
 def _yearly_records(log: TemporalGridLog, years: list[int], *, modularity: bool = True) -> list[MetricsRecord]:
     """One record per year, computed only when the graph differs from the previous year's."""
-    distinct: list[GraphSnapshot] = []
-    graph_of_year = []  # index into distinct, per year
-    for year in years:
-        snapshot = build_snapshot(log, year)
-        if not distinct or not snapshot.same_graph(distinct[-1]):
-            distinct.append(snapshot)
-        graph_of_year.append(len(distinct) - 1)
+    distinct, graph_of_year = yearly_snapshots(log, years)
     records = _distinct_records(distinct, modularity)
     return [records[i]._replace(year=year) for i, year in zip(graph_of_year, years)]
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from bisect import bisect_left
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .grid_log import TemporalGridLog, active_elements
+from .grid_log import TemporalGridLog, _service_intervals, active_elements
 
 
 class GraphSnapshot:
@@ -36,6 +37,16 @@ class GraphSnapshot:
         self._neighbors = tuple(tuple(sorted(s)) for s in adjacency)
         self._num_edges = sum(len(s) for s in adjacency) // 2
 
+    @classmethod
+    def _of(cls, labels: tuple, neighbors: tuple[tuple[int, ...], ...], num_edges: int, year: int):
+        """A snapshot from parts that already hold its invariants: sorted labels, sorted neighbour tuples."""
+        snapshot = object.__new__(cls)
+        snapshot.year = year
+        snapshot.labels = labels
+        snapshot._neighbors = neighbors
+        snapshot._num_edges = num_edges
+        return snapshot
+
     @property
     def num_nodes(self) -> int:
         return len(self.labels)
@@ -60,14 +71,10 @@ class GraphSnapshot:
                 if i < j:
                     yield (i, j)
 
-    def same_graph(self, other: GraphSnapshot) -> bool:
-        """Same labelled nodes and edges, whatever the years."""
-        return self.labels == other.labels and self._neighbors == other._neighbors
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self.year == other.year and self.same_graph(other)
+        return self.year == other.year and self.labels == other.labels and self._neighbors == other._neighbors
 
     def __repr__(self) -> str:
         return f"GraphSnapshot(year={self.year}, N={self.num_nodes}, E={self.num_edges})"
@@ -93,8 +100,125 @@ class ComponentPartition(NamedTuple):
 
 def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
     """Materialize the simple graph of elements in service during ``year``."""
-    node_ids, edges = active_elements(log, year)
-    return GraphSnapshot(node_ids, ((e.node_a, e.node_b) for e in edges), year=year)
+    return yearly_snapshots(log, [year])[0][0]
+
+
+def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[GraphSnapshot], list[int]]:
+    """The distinct graphs of strictly increasing ``years``, and the index of each year's graph.
+
+    The first year's graph is built from the elements in service then.
+    Every later year applies the commission and decommission events since
+    the year before, each summed per node and per node pair: a pair is an
+    edge while its count of in-service records is positive, so the order
+    of events within a year, a line that ends in the year another starts
+    on the same pair, and unmerged overlapping records do not matter.  A
+    year in which no node and no pair flips reuses the previous graph, whose
+    year is the first year it was seen.
+
+    A new graph keeps the neighbour tuple (the same object) of every node
+    whose edges did not flip and whose neighbours all sit below p, the
+    length of the common prefix of the old and new sorted labels, since no
+    index below p moves.  Every other node's tuple is rebuilt.
+    """
+    years = list(years)
+    first, last = years[0], years[-1]
+    node_ids, edges = active_elements(log, first)
+    snapshot = GraphSnapshot(node_ids, ((e.node_a, e.node_b) for e in edges), year=first)
+    snapshots = [snapshot]
+    graph_of_year = [0]
+    if len(years) == 1:
+        return snapshots, graph_of_year
+
+    count: dict[tuple, int] = {}  # in-service records per node pair
+    for e in edges:
+        pair = (e.node_a, e.node_b) if e.node_a <= e.node_b else (e.node_b, e.node_a)
+        count[pair] = count.get(pair, 0) + 1
+    # per later year, the net change in service of each node and pair over the events since the year before
+    node_delta: list[dict] = [{} for _ in years]
+    pair_delta: list[dict] = [{} for _ in years]
+
+    def events(key, start: int, end: int | None, deltas: list[dict]) -> None:
+        if first < start <= last:
+            delta = deltas[bisect_left(years, start)]
+            delta[key] = delta.get(key, 0) + 1
+        if end is not None and first < end <= last:
+            delta = deltas[bisect_left(years, end)]
+            delta[key] = delta.get(key, 0) - 1
+
+    for n in log.nodes:
+        if n.decommissioned is None or n.commissioned < n.decommissioned:
+            events(n.id, n.commissioned, n.decommissioned, node_delta)
+    # a service interval lies within the edge's own lifetime
+    later = (
+        e for e in log.edges if e.commissioned <= last and (e.decommissioned is None or first < e.decommissioned)
+    )
+    for e, start, end in _service_intervals(log, later):
+        events((e.node_a, e.node_b) if e.node_a <= e.node_b else (e.node_b, e.node_a), start, end, pair_delta)
+
+    labels, neighbors, num_edges = snapshot.labels, snapshot._neighbors, snapshot.num_edges
+    index = {label: i for i, label in enumerate(labels)}
+    adjacent = {label: {labels[j] for j in neighbors[i]} for i, label in enumerate(labels)}
+    for k in range(1, len(years)):
+        touched = set()  # the nodes an edge was added to or removed from
+        for pair, delta in pair_delta[k].items():
+            before = count.get(pair, 0)
+            after = before + delta
+            count[pair] = after
+            if (before > 0) != (after > 0):
+                a, b = pair
+                if a == b:
+                    raise ValueError(f"self-loop on {a!r}")
+                if after:
+                    adjacent.setdefault(a, set()).add(b)
+                    adjacent.setdefault(b, set()).add(a)
+                else:
+                    adjacent[a].discard(b)
+                    adjacent[b].discard(a)
+                touched.update(pair)
+                num_edges += 1 if after else -1
+        added = sorted(node for node, delta in node_delta[k].items() if delta > 0)
+        removed = {node for node, delta in node_delta[k].items() if delta < 0}
+        if not (touched or added or removed):
+            graph_of_year.append(len(snapshots) - 1)
+            continue
+
+        size = len(labels)
+        prefix = size
+        if removed:
+            prefix = min(index[node] for node in removed)
+        if added:
+            prefix = min(prefix, bisect_left(labels, added[0]))
+        new_labels, old_at = labels, {}
+        if prefix < size or added:
+            moved = [node for node in labels[prefix:] if node not in removed]
+            new_labels = labels[:prefix] + tuple(sorted(moved + added))
+            old_at = {node: j for j, node in enumerate(labels[prefix:], prefix)}
+            for node in removed:
+                del index[node]
+            for i in range(prefix, len(new_labels)):
+                index[new_labels[i]] = i
+
+        def shifted(nbrs: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([index[labels[j]] for j in nbrs])
+
+        new_neighbors = list(neighbors[:prefix])
+        if prefix < size:
+            for i, nbrs in enumerate(new_neighbors):
+                if nbrs and nbrs[-1] >= prefix and labels[i] not in touched:
+                    new_neighbors[i] = shifted(nbrs)
+        for node in new_labels[prefix:]:
+            j = old_at.get(node)
+            nbrs = () if j is None else neighbors[j]
+            if nbrs and nbrs[-1] >= prefix and node not in touched:
+                nbrs = shifted(nbrs)
+            new_neighbors.append(nbrs)
+        for node in touched - removed:
+            new_neighbors[index[node]] = tuple(sorted([index[other] for other in adjacent[node]]))
+
+        labels, neighbors = new_labels, tuple(new_neighbors)
+        snapshots.append(GraphSnapshot._of(labels, neighbors, num_edges, years[k]))
+        graph_of_year.append(len(snapshots) - 1)
+    return snapshots, graph_of_year
 
 
 def connected_components(snapshot: GraphSnapshot) -> ComponentPartition:

@@ -332,6 +332,33 @@ def active_elements(log: TemporalGridLog, year: int) -> tuple[set[str], list[Edg
     return active_nodes, active_edges
 
 
+def _service_intervals(
+    log: TemporalGridLog, edges: Iterable[EdgeRecord]
+) -> Iterator[tuple[EdgeRecord, int, int | None]]:
+    """Each of ``edges`` that is ever in service, with its service interval.
+
+    The interval is the edge's own lifetime cut to both endpoints'
+    lifetimes: ``(edge, start, end)`` means in service for the years
+    start..end-1 (from start on when end is None), which are the years in
+    which ``active_elements`` lists it.  An edge with an endpoint that is
+    not in the log is never in service.
+    """
+    nodes = {n.id: n for n in log.nodes}
+    if len(nodes) != len(log.nodes):
+        raise GridLogError("duplicate node ids")
+    for e in edges:
+        a, b = nodes.get(e.node_a), nodes.get(e.node_b)
+        if a is None or b is None:
+            continue
+        start = max(e.commissioned, a.commissioned, b.commissioned)
+        end = e.decommissioned
+        for other in (a.decommissioned, b.decommissioned):
+            if other is not None and (end is None or other < end):
+                end = other
+        if end is None or start < end:
+            yield e, start, end
+
+
 def line_count_series(
     log: TemporalGridLog,
     voltages: Iterable[int],
@@ -341,8 +368,7 @@ def line_count_series(
     """Per-year count of active lines at the given voltage levels.
 
     One pass over the edges: a matching line counts in the years of its
-    service interval, its own lifetime cut to both endpoints' lifetimes,
-    which are the years in which ``active_elements`` lists it.
+    service interval.
     """
     wanted = set(voltages)
     if not wanted:
@@ -350,24 +376,12 @@ def line_count_series(
     years = list(years)
     if not years:
         raise GridLogError("year range must not be empty")
-    nodes = {n.id: n for n in log.nodes}
+    matching = (e for e in log.edges if e.voltage_kv in wanted and (e.domestic or not domestic_only))
     starts: list[int] = []  # first year in service, per matching line
     ends: list[int] = []  # first year out of service, per matching line that has one
-    for e in log.edges:
-        if e.voltage_kv not in wanted or not (e.domestic or not domestic_only):
-            continue
-        a, b = nodes.get(e.node_a), nodes.get(e.node_b)
-        if a is None or b is None:
-            continue
-        start = max(e.commissioned, a.commissioned, b.commissioned)
-        end = e.decommissioned
-        for other in (a.decommissioned, b.decommissioned):
-            if other is not None and (end is None or other < end):
-                end = other
-        if end is None:
-            starts.append(start)
-        elif start < end:
-            starts.append(start)
+    for _, start, end in _service_intervals(log, matching):
+        starts.append(start)
+        if end is not None:
             ends.append(end)
     starts.sort()
     ends.sort()

@@ -660,6 +660,14 @@ def test_console_entry_point_runs(fixture_csv_paths):
     assert proc.stdout.splitlines()[1].startswith("1966,10,11,")
 
 
+def test_a_generator_warning_is_one_stderr_line():
+    # n=5, k=4: every node already links to all the others, so all 10 rewires are skipped
+    argv = ["generate", "--kind", "watts_strogatz", "--n", "5", "--k", "4", "--p", "1"]
+    proc = subprocess.run([sys.executable, "-m", "gridtopo", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "warning: watts_strogatz skipped 10 rewires (no valid target)\n")
+    assert len(proc.stdout.splitlines()) == 10
+
+
 FROZEN = Path(__file__).resolve().parent / "frozen"
 
 
