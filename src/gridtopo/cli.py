@@ -190,12 +190,15 @@ def _cmd_generate(args) -> int:
     from .graphs import to_edgelist
 
     spec = GeneratorSpec(kind=args.kind, n=args.n, p=args.p, k=args.k, m=args.m, seed=args.seed)
-    # a generator's warning (say, skipped rewires) becomes one line, not Python's file:line and source echo
+    # a generator's UserWarning (say, skipped rewires) becomes one line, not Python's file:line and
+    # source echo; the warning filters in force still decide what is shown
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         graph = generate(spec)
     for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        if issubclass(warning.category, UserWarning):
+            print(f"warning: {warning.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(warning.message, warning.category, warning.filename, warning.lineno)
     _write_output(to_edgelist(graph), args.out)
     return 0
 

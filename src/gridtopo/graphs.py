@@ -115,10 +115,11 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
     year in which no node and no pair flips reuses the previous graph, whose
     year is the first year it was seen.
 
-    A new graph keeps the neighbour tuple (the same object) of every node
-    whose edges did not flip and whose neighbours all sit below p, the
-    length of the common prefix of the old and new sorted labels, since no
-    index below p moves.  Every other node's tuple is rebuilt.
+    Let p be the length of the common prefix of the old and new sorted
+    labels; no index below p moves.  A new graph keeps the neighbour tuple
+    (the same object) of every node below p whose edges did not flip and
+    whose neighbours all sit below p.  Every other node's tuple is rebuilt
+    from the adjacency.
     """
     years = list(years)
     first, last = years[0], years[-1]
@@ -188,32 +189,21 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
             prefix = min(index[node] for node in removed)
         if added:
             prefix = min(prefix, bisect_left(labels, added[0]))
-        new_labels, old_at = labels, {}
+        new_labels = labels
         if prefix < size or added:
             moved = [node for node in labels[prefix:] if node not in removed]
             new_labels = labels[:prefix] + tuple(sorted(moved + added))
-            old_at = {node: j for j, node in enumerate(labels[prefix:], prefix)}
             for node in removed:
                 del index[node]
             for i in range(prefix, len(new_labels)):
                 index[new_labels[i]] = i
 
-        def shifted(nbrs: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple([index[labels[j]] for j in nbrs])
-
-        new_neighbors = list(neighbors[:prefix])
+        new_neighbors = list(neighbors[:prefix]) + [()] * (len(new_labels) - prefix)
+        rebuilt = (touched - removed).union(new_labels[prefix:])
         if prefix < size:
-            for i, nbrs in enumerate(new_neighbors):
-                if nbrs and nbrs[-1] >= prefix and labels[i] not in touched:
-                    new_neighbors[i] = shifted(nbrs)
-        for node in new_labels[prefix:]:
-            j = old_at.get(node)
-            nbrs = () if j is None else neighbors[j]
-            if nbrs and nbrs[-1] >= prefix and node not in touched:
-                nbrs = shifted(nbrs)
-            new_neighbors.append(nbrs)
-        for node in touched - removed:
-            new_neighbors[index[node]] = tuple(sorted([index[other] for other in adjacent[node]]))
+            rebuilt.update(labels[i] for i, nbrs in enumerate(neighbors[:prefix]) if nbrs and nbrs[-1] >= prefix)
+        for node in rebuilt:
+            new_neighbors[index[node]] = tuple(sorted([index[other] for other in adjacent.get(node, ())]))
 
         labels, neighbors = new_labels, tuple(new_neighbors)
         snapshots.append(GraphSnapshot._of(labels, neighbors, num_edges, years[k]))
