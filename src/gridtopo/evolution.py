@@ -3,15 +3,13 @@
 Years where a metric is undefined (too small, disconnected, edgeless)
 carry None rather than a silent zero; CSV output renders them as NA.
 A range's graphs come from one sweep over the log's commission and
-decommission events (``graphs.yearly_snapshots``): a year whose events
-flip no node and no node pair repeats the previous year's graph, and a
-new graph shares with the graph before it the neighbour tuple of every
-node that the year's events and index shifts left alone.  A repeated graph reuses its
-record, since every column but ``year`` depends only on the graph.  So the
-distinct graphs can be computed in any order and in any process: where
-``os.fork`` exists and they cost at least ``MIN_FORK_COST``, they are split
-into up to ``MAX_WORKERS`` shares, and every share but the first runs in a
-forked child.
+decommission events (``graphs.yearly_snapshots`` describes it), which
+repeats the previous year's graph in a year that changes nothing.  A
+repeated graph reuses its record, since every column but ``year`` depends
+only on the graph.  So the distinct graphs can be computed in any order
+and in any process: where ``os.fork`` exists and they cost at least
+``MIN_FORK_COST``, they are split into up to ``MAX_WORKERS`` shares, and
+every share but the first runs in a forked child.
 """
 
 from __future__ import annotations

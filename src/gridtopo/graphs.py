@@ -100,20 +100,22 @@ class ComponentPartition(NamedTuple):
 
 def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
     """Materialize the simple graph of elements in service during ``year``."""
-    return yearly_snapshots(log, [year])[0][0]
+    node_ids, edges = active_elements(log, year)
+    return GraphSnapshot(node_ids, ((e.node_a, e.node_b) for e in edges), year=year)
 
 
 def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[GraphSnapshot], list[int]]:
     """The distinct graphs of strictly increasing ``years``, and the index of each year's graph.
 
-    The first year's graph is built from the elements in service then.
-    Every later year applies the commission and decommission events since
-    the year before, each summed per node and per node pair: a pair is an
-    edge while its count of in-service records is positive, so the order
-    of events within a year, a line that ends in the year another starts
-    on the same pair, and unmerged overlapping records do not matter.  A
-    year in which no node and no pair flips reuses the previous graph, whose
-    year is the first year it was seen.
+    The sweep starts from an empty graph.  The first year applies every
+    commission and decommission event up to it, and every later year the
+    events since the year before, each summed per node and per node pair: a
+    pair is an edge while its count of in-service records is positive, so
+    the order of events within a year, a line that ends in the year another
+    starts on the same pair, a lifetime that ends before the first year and
+    unmerged overlapping records do not matter.  A later year in which no
+    node and no pair flips reuses the previous graph, whose year is the
+    first year it was seen.
 
     Let p be the length of the common prefix of the old and new sorted
     labels; no index below p moves.  A new graph keeps the neighbour tuple
@@ -122,44 +124,33 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
     from the adjacency.
     """
     years = list(years)
-    first, last = years[0], years[-1]
-    node_ids, edges = active_elements(log, first)
-    snapshot = GraphSnapshot(node_ids, ((e.node_a, e.node_b) for e in edges), year=first)
-    snapshots = [snapshot]
-    graph_of_year = [0]
-    if len(years) == 1:
-        return snapshots, graph_of_year
-
-    count: dict[tuple, int] = {}  # in-service records per node pair
-    for e in edges:
-        pair = (e.node_a, e.node_b) if e.node_a <= e.node_b else (e.node_b, e.node_a)
-        count[pair] = count.get(pair, 0) + 1
-    # per later year, the net change in service of each node and pair over the events since the year before
+    last = years[-1]
+    # per year, the net change in service of each node and pair over the year's events
     node_delta: list[dict] = [{} for _ in years]
     pair_delta: list[dict] = [{} for _ in years]
 
     def events(key, start: int, end: int | None, deltas: list[dict]) -> None:
-        if first < start <= last:
+        if start <= last:
             delta = deltas[bisect_left(years, start)]
             delta[key] = delta.get(key, 0) + 1
-        if end is not None and first < end <= last:
+        if end is not None and end <= last:
             delta = deltas[bisect_left(years, end)]
             delta[key] = delta.get(key, 0) - 1
 
     for n in log.nodes:
+        # a reversed lifetime is never in service, and its end would come before its start
         if n.decommissioned is None or n.commissioned < n.decommissioned:
             events(n.id, n.commissioned, n.decommissioned, node_delta)
-    # a service interval lies within the edge's own lifetime
-    later = (
-        e for e in log.edges if e.commissioned <= last and (e.decommissioned is None or first < e.decommissioned)
-    )
-    for e, start, end in _service_intervals(log, later):
+    for e, start, end in _service_intervals(log, log.edges):
         events((e.node_a, e.node_b) if e.node_a <= e.node_b else (e.node_b, e.node_a), start, end, pair_delta)
 
-    labels, neighbors, num_edges = snapshot.labels, snapshot._neighbors, snapshot.num_edges
-    index = {label: i for i, label in enumerate(labels)}
-    adjacent = {label: {labels[j] for j in neighbors[i]} for i, label in enumerate(labels)}
-    for k in range(1, len(years)):
+    count: dict[tuple, int] = {}  # in-service records per node pair
+    adjacent: dict = {}  # the neighbour labels of each label
+    labels, neighbors, num_edges = (), (), 0
+    index: dict = {}  # the index of each label
+    snapshots: list[GraphSnapshot] = []
+    graph_of_year: list[int] = []
+    for k in range(len(years)):
         touched = set()  # the nodes an edge was added to or removed from
         for pair, delta in pair_delta[k].items():
             before = count.get(pair, 0)
@@ -179,7 +170,7 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
                 num_edges += 1 if after else -1
         added = sorted(node for node, delta in node_delta[k].items() if delta > 0)
         removed = {node for node, delta in node_delta[k].items() if delta < 0}
-        if not (touched or added or removed):
+        if snapshots and not (touched or added or removed):
             graph_of_year.append(len(snapshots) - 1)
             continue
 

@@ -316,6 +316,8 @@ def active_elements(log: TemporalGridLog, year: int) -> tuple[set[str], list[Edg
     An edge counts only when both endpoints are also active.  Years
     outside the log's range simply yield nothing.
     """
+    if len({n.id for n in log.nodes}) != len(log.nodes):
+        raise GridLogError("duplicate node ids")
     active_nodes = {
         n.id
         for n in log.nodes

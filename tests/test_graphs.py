@@ -3,8 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridtopo import graphs
 from gridtopo.graphs import GraphSnapshot, build_snapshot, connected_components, to_edgelist, yearly_snapshots
-from gridtopo.grid_log import EdgeRecord, GridLogError, NodeRecord, TemporalGridLog, active_elements, parse_log
+from gridtopo.grid_log import (
+    EdgeRecord,
+    GridLogError,
+    NodeRecord,
+    TemporalGridLog,
+    active_elements,
+    line_count_series,
+    parse_log,
+)
 
 import properties
 from conftest import bench_log_csv, churn_csv, random_graph
@@ -228,8 +237,9 @@ HAND_BUILT = {
         [edge("e1", "A", "B", 1952, 1966), edge("e2", "B", "C", 1955, 1966), edge("e3", "A", "C", 1958)],
     ),
     "empty lifetimes": (
-        [node("A", 1950), node("B", 1950), node("C", 1958, 1958)],
-        [edge("e1", "A", "B", 1958, 1958), edge("e2", "A", "C", 1958, 1958), edge("e3", "A", "B", 1961, 1960)],
+        [node("A", 1950), node("B", 1950), node("C", 1958, 1958), node("D", 1962, 1956)],
+        [edge("e1", "A", "B", 1958, 1958), edge("e2", "A", "C", 1958, 1958), edge("e3", "A", "B", 1961, 1960),
+         edge("e4", "A", "D", 1950)],
     ),
     "a new id sorts before the existing ids": (
         [node("m", 1950), node("n", 1950), node("p", 1951), node("q", 1952), node("a", 1960),
@@ -266,9 +276,18 @@ def test_the_sweep_rejects_a_self_loop_in_service_and_repeated_node_ids():
         with pytest.raises(ValueError, match="^self-loop on 'A'$"):
             yearly_snapshots(log, years)
     assert_sweep_matches_one_year_builds(log, range(1970, 1980))
+    with pytest.raises(ValueError, match="^self-loop on 'A'$"):
+        build_snapshot(log, 1965)
+    # one year and a range fail alike, whichever path builds them
     twice = TemporalGridLog((node("A", 1950), node("A", 1960)), ())
-    with pytest.raises(GridLogError, match="^duplicate node ids$"):
-        yearly_snapshots(twice, range(1950, 1970))
+    for build in (
+        lambda: active_elements(twice, 1965),
+        lambda: build_snapshot(twice, 1965),
+        lambda: yearly_snapshots(twice, range(1950, 1970)),
+        lambda: line_count_series(twice, [220], False, range(1950, 1970)),
+    ):
+        with pytest.raises(GridLogError, match="^duplicate node ids$"):
+            build()
 
 
 @pytest.mark.parametrize("source", ["growth-350-1", "growth-4000-1"])
@@ -289,3 +308,23 @@ def test_a_new_first_id_shifts_every_index_and_keeps_the_tuples_below_it():
     assert [after.neighbors(i) for i in range(5)] == [(3,), (2, 4), (1, 3), (0, 2), (1,)]
     (before, after), _ = yearly_snapshots(log, [1950, 1951])
     assert after.neighbors(0) is before.neighbors(0)  # m links only n, which sits below the new node p
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other build path ran")
+
+
+def test_the_sweep_builds_a_range_without_a_one_year_build(monkeypatch, fixture_log):
+    cases = [(fixture_log, range(1940, 1991)), (bench_log("churn-400-1"), range(1950, 2020))]
+    expected = [[graph_of(build_snapshot(log, year)) for year in years] for log, years in cases]
+    monkeypatch.setattr(graphs, "active_elements", refuse)
+    monkeypatch.setattr(GraphSnapshot, "__init__", refuse)
+    for (log, years), built in zip(cases, expected):
+        snapshots, graph_of_year = yearly_snapshots(log, years)
+        assert [graph_of(snapshots[i]) for i in graph_of_year] == built
+
+
+def test_a_one_year_build_never_enters_the_sweep(monkeypatch, fixture_log):
+    expected = build_snapshot(fixture_log, 1975)
+    monkeypatch.setattr(graphs, "yearly_snapshots", refuse)
+    assert build_snapshot(fixture_log, 1975) == expected
