@@ -138,7 +138,7 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
             delta[key] = delta.get(key, 0) - 1
 
     for n in log.nodes:
-        # a reversed lifetime is never in service, and its end would come before its start
+        # a reversed lifetime is never in service, but its -1 would come before its +1
         if n.decommissioned is None or n.commissioned < n.decommissioned:
             events(n.id, n.commissioned, n.decommissioned, node_delta)
     for e, start, end in _service_intervals(log, log.edges):
