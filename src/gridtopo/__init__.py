@@ -14,7 +14,6 @@ _EXPORTS = {
     "degree_fit": ("Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"),
     "evolution": (
         "CorrelationReport",
-        "MetricTimeSeries",
         "compute_metrics_record",
         "compute_timeseries",
         "correlate_with_line_count",

@@ -85,7 +85,7 @@ def _year_range(args) -> range:
 def _cmd_snapshot(args) -> int:
     from .evolution import compute_metrics_record
     from .graphs import build_snapshot
-    from .metrics import METRICS_CSV_HEADER
+    from .metrics import records_to_csv
 
     log = load_log(args.nodes, args.edges)
     record = compute_metrics_record(build_snapshot(log, args.year))
@@ -94,23 +94,24 @@ def _cmd_snapshot(args) -> int:
 
         text = json.dumps(record.as_dict(), indent=2) + "\n"
     else:
-        text = METRICS_CSV_HEADER + "\n" + record.to_csv_row() + "\n"
+        text = records_to_csv([record])
     _write_output(text, args.out)
     return 0
 
 
 def _cmd_timeseries(args) -> int:
     from .evolution import compute_timeseries
+    from .metrics import records_to_csv
 
     years = _year_range(args)
     log = load_log(args.nodes, args.edges)
-    series = compute_timeseries(log, years)
+    records = compute_timeseries(log, years)
     if args.format == "json":
         import json
 
-        text = json.dumps([r.as_dict() for r in series.records], indent=2) + "\n"
+        text = json.dumps([r.as_dict() for r in records], indent=2) + "\n"
     else:
-        text = series.to_csv()
+        text = records_to_csv(records)
     _write_output(text, args.out)
     return 0
 
@@ -150,7 +151,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    from .evolution import _record_field, correlate_with_line_count
+    from .evolution import correlate_with_line_count
+    from .metrics import record_field
 
     voltages = []
     for v in (v.strip() for v in args.voltages.split(",")):
@@ -163,7 +165,7 @@ def _cmd_correlate(args) -> int:
                 raise ValueError(f"--voltages: invalid kV level {v!r}")
             voltages.append(level)
     years = _year_range(args)
-    _record_field(args.metric)  # an unknown metric fails before the log is read
+    record_field(args.metric)  # an unknown metric fails before the log is read
     if not voltages:
         raise ValueError("voltage filter must not be empty")
     log = load_log(args.nodes, args.edges)

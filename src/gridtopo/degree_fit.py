@@ -93,6 +93,8 @@ def _prepare_points(ccdf: Ccdf) -> tuple[list[float], list[float]]:
         raise ValueError("duplicate degree in ccdf points")
     if any(kv < 1 for kv in k) or not all(pv > 0 for pv in p):
         raise ValueError("ccdf points must have degree >= 1 and p > 0")
+    if not all(map(math.isfinite, k + p)):
+        raise ValueError("ccdf points must be finite")
     return k, p
 
 

@@ -23,13 +23,12 @@ from .communities import detect_communities
 from .graphs import GraphSnapshot, yearly_snapshots
 from .grid_log import TemporalGridLog, line_count_series
 from .metrics import (
-    METRICS_CSV_COLUMNS,
-    METRICS_CSV_HEADER,
     MetricsRecord,
     _mean_distance,
     clustering_coefficient,
     path_stats,
     random_baselines,
+    record_field,
     small_world_sigma,
 )
 
@@ -42,27 +41,6 @@ MAX_WORKERS = 8
 # process; the 12-node fixture's 31 years cost 1472, a 350-node growth
 # log's 70 years about 2.9e6.
 MIN_FORK_COST = 20_000
-
-_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, MetricsRecord._fields, strict=True))
-
-
-def _record_field(name: str) -> str:
-    """The MetricsRecord attribute behind a CSV column name."""
-    try:
-        return _RECORD_FIELDS[name]
-    except KeyError:
-        raise ValueError(f"unknown metric {name!r}") from None
-
-
-class MetricTimeSeries(NamedTuple):
-    years: tuple[int, ...]
-    records: tuple[MetricsRecord, ...]
-
-    def to_csv(self) -> str:
-        lines = [METRICS_CSV_HEADER]
-        lines.extend(record.to_csv_row() for record in self.records)
-        return "\n".join(lines) + "\n"
-
 
 class CorrelationReport(NamedTuple):
     metric: str
@@ -114,10 +92,9 @@ def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) 
     )
 
 
-def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> MetricTimeSeries:
+def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> tuple[MetricsRecord, ...]:
     """One MetricsRecord per year."""
-    years = _checked_years(years)
-    return MetricTimeSeries(tuple(years), tuple(_yearly_records(log, years)))
+    return tuple(_yearly_records(log, _checked_years(years)))
 
 
 def _checked_years(years: Sequence[int]) -> list[int]:
@@ -258,13 +235,15 @@ def _unpickled(payload: bytes, status: int) -> list[MetricsRecord]:
 
 
 def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
+    """Sample Pearson correlation coefficient of finite values, clamped to [-1, 1]."""
     a = [float(x) for x in series_a]
     b = [float(x) for x in series_b]
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("correlation needs at least 2 points")
+    if not all(map(math.isfinite, a + b)):
+        raise ValueError("undefined correlation: non-finite value")
     mean_a = sum(a) / len(a)
     mean_b = sum(b) / len(b)
     var_a = sum((x - mean_a) ** 2 for x in a)
@@ -286,7 +265,7 @@ def correlate_with_line_count(
     column leaves the records, so Q is computed only when it is the metric.
     """
     years = _checked_years(years)
-    attr = _record_field(metric)
+    attr = record_field(metric)
     counts = line_count_series(log, voltages, domestic_only, years)
     records = _yearly_records(log, years, modularity=attr == "modularity_q")
     metric_values = [getattr(record, attr) for record in records]

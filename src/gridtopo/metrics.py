@@ -18,7 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import ComponentPartition, GraphSnapshot, connected_components
 
@@ -52,9 +52,6 @@ class MetricsRecord(NamedTuple):
     component_count: int
     largest_component_size: int
 
-    def to_csv_row(self) -> str:
-        return ",".join(format_metric_value(v) for v in self)
-
     def as_dict(self) -> dict:
         return dict(zip(METRICS_CSV_COLUMNS, self))
 
@@ -75,6 +72,22 @@ METRICS_CSV_COLUMNS = (
     "lcc_size",
 )
 METRICS_CSV_HEADER = ",".join(METRICS_CSV_COLUMNS)
+_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, MetricsRecord._fields, strict=True))
+
+
+def record_field(column: str) -> str:
+    """The MetricsRecord field behind a CSV column name."""
+    try:
+        return _RECORD_FIELDS[column]
+    except KeyError:
+        raise ValueError(f"unknown metric {column!r}") from None
+
+
+def records_to_csv(records: Iterable[MetricsRecord]) -> str:
+    """The CSV header line, then one row per record."""
+    lines = [METRICS_CSV_HEADER]
+    lines.extend(",".join(format_metric_value(v) for v in record) for record in records)
+    return "\n".join(lines) + "\n"
 
 
 def format_metric_value(value) -> str:

@@ -119,8 +119,8 @@ class SigmaCrossings(NamedTuple):
     crossings: tuple[tuple[int, str], ...]  # (year, "up" or "down")
 
 
-def small_world_transition(series) -> SigmaCrossings:
-    """Scan the sigma column of a time series for threshold crossings of 1.
+def small_world_transition(records) -> SigmaCrossings:
+    """Scan the sigma column of a time series' records for threshold crossings of 1.
 
     Years with undefined sigma are skipped; the above/below state
     persists across such gaps.
@@ -128,8 +128,8 @@ def small_world_transition(series) -> SigmaCrossings:
     above = False
     first_year = None
     crossings: list[tuple[int, str]] = []
-    for year, record in zip(series.years, series.records):
-        sigma = record.sigma
+    for record in records:
+        year, sigma = record.year, record.sigma
         if sigma is None:
             continue
         if sigma > 1 and not above:

@@ -227,8 +227,7 @@ def check_complete_graph_metrics() -> None:
 
 
 def check_metrics_record_fields() -> None:
-    series = compute_timeseries(demo_log(), range(1950, 1981))
-    for rec in series.records:
+    for rec in compute_timeseries(demo_log(), range(1950, 1981)):
         if rec.num_nodes > 0:
             assert rec.avg_degree == 2 * rec.num_edges / rec.num_nodes
         if rec.clustering is not None:
@@ -372,8 +371,8 @@ def check_timeseries_slice_consistency() -> None:
     log = demo_log()
     full = compute_timeseries(log, range(1950, 1981))
     sliced = compute_timeseries(log, range(1960, 1971))
-    offset = full.years.index(1960)
-    assert sliced.records == full.records[offset : offset + len(sliced.years)]
+    offset = [rec.year for rec in full].index(1960)
+    assert sliced == full[offset : offset + len(sliced)]
 
 
 # ---------------------------------------------------------------------------

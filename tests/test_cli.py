@@ -19,6 +19,7 @@ from gridtopo.evolution import pearson
 from gridtopo.generators import MAX_NODES
 
 import properties
+from conftest import bench_log_csv
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,26 @@ def test_timeseries_matches_frozen_table(capsys, tmp_path, fixture_csv_paths, ex
     )
     assert code == 0
     assert out_path.read_bytes() == expected_table_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "log, year",
+    [*(("fixture", year) for year in (1940, 1950, 1975, 2019)), ("growth-350", 1990), ("growth-350", 2019)],
+)
+def test_a_snapshot_writes_the_bytes_of_a_one_year_series(capsys, tmp_path, fixture_csv_paths, log, year):
+    if log == "fixture":
+        args = log_args(fixture_csv_paths)
+    else:  # the series-growth benchmark log: 350 nodes, seed 1
+        paths = [tmp_path / "nodes.csv", tmp_path / "edges.csv"]
+        for path, text in zip(paths, bench_log_csv(350, 1, False)):
+            path.write_text(text, encoding="utf-8")
+        args = ["--nodes", str(paths[0]), "--edges", str(paths[1])]
+    code, snapshot, err = run_cli(capsys, "snapshot", *args, "--year", str(year))
+    assert (code, err) == (0, "")
+    code, series, err = run_cli(capsys, "timeseries", *args, "--from", str(year), "--to", str(year))
+    assert (code, err) == (0, "")
+    assert snapshot.encode("utf-8") == series.encode("utf-8")
+    assert len(snapshot.splitlines()) == 2
 
 
 def test_correlate_report_recomputes_from_export(capsys, tmp_path, fixture_csv_paths):

@@ -97,6 +97,25 @@ def test_fit_rejects_unknown_model_and_bad_points():
             fit_model(Ccdf(((1, 0.2), (2, 0.5), (3, 1.0))), model)
 
 
+def test_fit_rejects_non_finite_points():
+    # a NaN degree passed the degree >= 1 check and gave an all-NaN fit, an
+    # infinite p passed p > 0 and gave r^2 = 1.0
+    for points in (
+        ((1, 1.0), (2, 0.5), (math.nan, 0.2)),
+        ((1, 1.0), (2, 0.5), (math.inf, 0.2)),
+        ((1, 1.0), (2, 0.5), (3, math.inf)),
+    ):
+        for model in MODELS:
+            with pytest.raises(ValueError, match="^ccdf points must be finite$"):
+                fit_model(Ccdf(points), model)
+
+
+def test_a_start_whose_square_overflows_is_value_error():
+    message = r"^cannot form initial guess: amplitude exp\(407\.071\) squared overflows$"
+    with pytest.raises(ValueError, match=message):
+        fit_model(Ccdf(((10, 1.0), (11, 1e-7), (12, 1e-14))), "power_law")
+
+
 def test_fit_handles_noisy_data():
     rng = random.Random(5)
     points = tuple((k, 0.8 * math.exp(-k / 3.0) * (1 + rng.uniform(-0.05, 0.05))) for k in range(1, 15))

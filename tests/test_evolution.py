@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import math
 import os
 import threading
 from collections import Counter
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from gridtopo import cli, evolution, graphs, metrics
 from gridtopo.evolution import (
-    MetricTimeSeries,
     compute_metrics_record,
     compute_timeseries,
     correlate_with_line_count,
@@ -21,7 +21,7 @@ from gridtopo.evolution import (
 )
 from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.grid_log import parse_log
-from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord
+from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord, records_to_csv
 
 import properties
 from conftest import bench_log_csv, churn_csv
@@ -31,7 +31,7 @@ CHURN_YEARS = range(1950, 2020)
 
 
 def sigma_series(start_year, sigmas):
-    records = tuple(
+    return tuple(
         MetricsRecord(
             year=start_year + i,
             num_nodes=10,
@@ -49,7 +49,6 @@ def sigma_series(start_year, sigmas):
         )
         for i, s in enumerate(sigmas)
     )
-    return MetricTimeSeries(tuple(range(start_year, start_year + len(sigmas))), records)
 
 
 GROWTH_NODES = """id,name,kind,commissioned,decommissioned,domestic
@@ -96,22 +95,22 @@ def test_a_record_needs_the_snapshot_year():
 def test_timeseries_monotone_growth_without_decommissions():
     log = parse_log(GROWTH_NODES, GROWTH_EDGES)
     series = compute_timeseries(log, range(1949, 1960))
-    node_counts = [r.num_nodes for r in series.records]
+    node_counts = [r.num_nodes for r in series]
     assert node_counts == sorted(node_counts)
-    edge_counts = [r.num_edges for r in series.records]
+    edge_counts = [r.num_edges for r in series]
     assert edge_counts == sorted(edge_counts)
 
 
 def test_timeseries_row_count():
     log = parse_log(GROWTH_NODES, GROWTH_EDGES)
     series = compute_timeseries(log, range(1950, 1955))
-    assert len(series.records) == 5
-    assert series.years == (1950, 1951, 1952, 1953, 1954)
+    assert len(series) == 5
+    assert tuple(record.year for record in series) == (1950, 1951, 1952, 1953, 1954)
 
 
 def test_timeseries_matches_single_year_invocations(fixture_log):
-    series = compute_timeseries(fixture_log, range(1950, 1981))
-    for year, record in zip(series.years, series.records):
+    years = range(1950, 1981)
+    for year, record in zip(years, compute_timeseries(fixture_log, years), strict=True):
         independent = compute_metrics_record(build_snapshot(fixture_log, year))
         assert record == independent
 
@@ -165,18 +164,18 @@ def few_event_year_logs(draw):
 @settings(max_examples=100, deadline=None)
 @given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
 def test_timeseries_equals_reference_on_logs_with_repeated_years(log, years):
-    assert compute_timeseries(log, years).records == reference_timeseries(log, years)
+    assert compute_timeseries(log, years) == reference_timeseries(log, years)
 
 
 def test_timeseries_equals_reference_on_the_fixture(fixture_log):
     years = range(1950, 1981)
-    assert compute_timeseries(fixture_log, years).records == reference_timeseries(fixture_log, years)
+    assert compute_timeseries(fixture_log, years) == reference_timeseries(fixture_log, years)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_timeseries_equals_reference_on_churn_logs(seed):
     log = churn_log(seed)
-    assert compute_timeseries(log, CHURN_YEARS).records == reference_timeseries(log, CHURN_YEARS)
+    assert compute_timeseries(log, CHURN_YEARS) == reference_timeseries(log, CHURN_YEARS)
 
 
 @pytest.mark.parametrize("metric, communities", [("sigma", 0), ("Q", 35)])
@@ -216,7 +215,7 @@ def assert_no_child_left():
 def test_forked_records_equal_reference_on_the_fixture(fixture_log, workers):
     years = range(1950, 1981)
     with forced_workers(workers):
-        records = compute_timeseries(fixture_log, years).records
+        records = compute_timeseries(fixture_log, years)
     assert records == reference_timeseries(fixture_log, years)
     assert_no_child_left()
 
@@ -225,7 +224,7 @@ def test_forked_records_equal_reference_on_the_fixture(fixture_log, workers):
 def test_forked_records_equal_reference_on_churn_logs(seed):
     log = churn_log(seed)
     with forced_workers(3):
-        records = compute_timeseries(log, CHURN_YEARS).records
+        records = compute_timeseries(log, CHURN_YEARS)
     assert records == reference_timeseries(log, CHURN_YEARS)
     assert_no_child_left()
 
@@ -234,7 +233,7 @@ def test_forked_records_equal_reference_on_churn_logs(seed):
 @given(few_event_year_logs(), st.lists(st.integers(1948, 1960), min_size=1, unique=True).map(sorted))
 def test_forked_records_equal_reference_on_logs_with_repeated_years(log, years):
     with forced_workers(2):
-        assert compute_timeseries(log, years).records == reference_timeseries(log, years)
+        assert compute_timeseries(log, years) == reference_timeseries(log, years)
 
 
 @pytest.mark.parametrize("metric", ["sigma", "Q"])
@@ -276,10 +275,10 @@ def test_graphs_cheaper_than_a_fork_round_trip_are_computed_in_process(monkeypat
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: min(2, distinct))
     expected = reference_timeseries(fixture_log, years)
-    assert compute_timeseries(fixture_log, years).records == expected
+    assert compute_timeseries(fixture_log, years) == expected
     assert forks == []
     monkeypatch.setattr(evolution, "MIN_FORK_COST", cost)
-    assert compute_timeseries(fixture_log, years).records == expected
+    assert compute_timeseries(fixture_log, years) == expected
     assert forks == [os.getpid()]
     assert_no_child_left()
 
@@ -296,7 +295,7 @@ def test_one_worker_computes_every_graph_in_process(monkeypatch, fixture_log):
 
     monkeypatch.setattr(os, "fork", no_fork)
     with forced_workers(1):
-        assert compute_timeseries(fixture_log, range(1950, 1981)).records == reference_timeseries(
+        assert compute_timeseries(fixture_log, range(1950, 1981)) == reference_timeseries(
             fixture_log, range(1950, 1981)
         )
 
@@ -431,17 +430,18 @@ def test_timeseries_rejects_bad_ranges(fixture_log):
 
 def test_timeseries_undefined_metrics_are_none_not_zero(fixture_log):
     series = compute_timeseries(fixture_log, range(1950, 1953))
-    first = series.records[0]
+    first = series[0]
     assert first.sigma is None
     assert first.random_path_length is None
-    assert first.to_csv_row().count("NA") == 3
-    assert series.to_csv().splitlines()[0] == METRICS_CSV_HEADER
+    lines = records_to_csv(series).splitlines()
+    assert lines[0] == METRICS_CSV_HEADER
+    assert lines[1].count("NA") == 3
 
 
 def test_metric_view_and_unknown_name(fixture_log):
     series = compute_timeseries(fixture_log, range(1950, 1953))
-    assert [record.num_nodes for record in series.records] == [2, 2, 3]
-    assert series.records[0].sigma is None
+    assert [record.num_nodes for record in series] == [2, 2, 3]
+    assert series[0].sigma is None
     with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
         correlate_with_line_count(fixture_log, "bogus", [220], False, range(1950, 1953))
 
@@ -459,6 +459,14 @@ def test_pearson_errors():
         pearson([1], [2])
     with pytest.raises(ValueError, match="constant"):
         pearson([1, 1, 1], [1, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_values(bad):
+    # a NaN once passed through the clamp to [-1, 1] as r = 1.0
+    for a, b in (([1, bad, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, bad])):
+        with pytest.raises(ValueError, match="^undefined correlation: non-finite value$"):
+            pearson(a, b)
 
 
 def test_transition_simple_scan():
@@ -488,12 +496,13 @@ def test_transition_skips_undefined_years():
 def test_fixture_crossing_year_matches_mesh_activation(fixture_log):
     # the 220 kV edge e12 (1966) closes the second triangle; sigma first
     # exceeds 1 that year and stays above for the rest of the range
-    series = compute_timeseries(fixture_log, range(1950, 1981))
+    years = range(1950, 1981)
+    series = compute_timeseries(fixture_log, years)
     result = small_world_transition(series)
     assert result.first_year == 1966
     assert result.crossings == ((1966, "up"),)
-    assert series.records[series.years.index(1960)].clustering == 0.0
-    assert series.records[series.years.index(1961)].clustering > 0.0
+    assert series[years.index(1960)].clustering == 0.0
+    assert series[years.index(1961)].clustering > 0.0
 
 
 def test_correlation_report_drops_undefined_years(fixture_log):

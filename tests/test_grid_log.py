@@ -317,6 +317,15 @@ def test_oversized_field_names_its_row():
         make_log(["A,A,substation,1950,,true", "B,B,substation,1950,,true"], [f"{huge},A,B,120,1950,,true"])
 
 
+@pytest.mark.parametrize("table", ["nodes", "edges"])
+def test_oversized_header_field_names_row_1(table):
+    huge = "x" * 140000 + "\n"
+    sources = (huge, EDGES_HEADER) if table == "nodes" else (NODES_HEADER, huge)
+    with pytest.raises(GridLogError) as err:
+        parse_log(*sources)
+    assert str(err.value) == f"{table} row 1: field larger than field limit (131072)"
+
+
 def test_bom_prefixed_files_parse_like_the_originals(tmp_path, fixture_csv_paths, fixture_log):
     copies = []
     for path in fixture_csv_paths:

@@ -20,6 +20,7 @@ from gridtopo.metrics import (
     modularity,
     path_stats,
     random_baselines,
+    records_to_csv,
     small_world_sigma,
 )
 
@@ -63,6 +64,11 @@ def test_degree_stats_published_1008_over_385():
 def test_degree_stats_empty_graph():
     with pytest.raises(ValueError, match="no nodes"):
         degree_stats(GraphSnapshot([], []))
+
+
+def test_clustering_empty_graph():
+    with pytest.raises(ValueError, match="^clustering undefined: graph has no nodes$"):
+        clustering_coefficient(GraphSnapshot([], []))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +350,9 @@ def test_metrics_record_csv_formatting():
         component_count=1,
         largest_component_size=314,
     )
-    row = record.to_csv_row()
-    assert row == "1999,314,399,2.5414,14,6.64,0.063,6.04859,0.00808917,7.09451,NA,1,314"
+    text = records_to_csv([record])
+    row = "1999,314,399,2.5414,14,6.64,0.063,6.04859,0.00808917,7.09451,NA,1,314"
+    assert text == METRICS_CSV_HEADER + "\n" + row + "\n"
     assert len(row.split(",")) == len(METRICS_CSV_HEADER.split(","))
 
 
