@@ -117,7 +117,7 @@ def _cmd_timeseries(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .degree_fit import build_ccdf, compare_fits, fit_model, fit_result_to_json
+    from .degree_fit import build_ccdf, compare_fits, fit_model
     from .graphs import build_snapshot
     from .metrics import degree_stats
 
@@ -126,27 +126,8 @@ def _cmd_fit(args) -> int:
     log = load_log(args.nodes, args.edges)
     snapshot = build_snapshot(log, args.year)
     ccdf = build_ccdf(degree_stats(snapshot).histogram)
-    if args.model == "both":
-        import json
-
-        fits = compare_fits(ccdf)
-        fields = {
-            **fits._asdict(),  # the nested records would dump as JSON arrays
-            "power_law": fits.power_law._asdict(),
-            "exponential": fits.exponential._asdict(),
-            "tail_residuals": [tail._asdict() for tail in fits.tail_residuals],
-        }
-        text = json.dumps(fields, indent=2) + "\n"
-    else:
-        result = fit_model(ccdf, args.model)
-        if args.format == "json":
-            text = fit_result_to_json(result) + "\n"
-        else:
-            text = (
-                "model,a,gamma_or_kappa,sse,r_squared\n"
-                f"{result.model},{result.a!r},{result.gamma_or_kappa!r},{result.sse!r},{result.r_squared!r}\n"
-            )
-    _write_output(text, args.out)
+    fit = compare_fits(ccdf) if args.model == "both" else fit_model(ccdf, args.model)
+    _write_output(fit.to_json() if args.format == "json" else fit.to_csv(), args.out)
     return 0
 
 
@@ -292,7 +273,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,12 +12,16 @@ unweighted point per distinct degree.  A linear regression on log p
 provides the starting point; a damped Gauss-Newton iteration refines it
 until the relative SSE change drops below 1e-10 (200 iterations at most).
 A fit whose last step was cut short by the shape > 0 boundary has stalled
-there, not converged, and raises FitNotConverged.
+there, not converged, and raises FitNotConverged.  The fit's CSV and JSON
+text is written here, by ``FitResult`` and ``FitComparison``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from functools import reduce  # reduce(add, floats, 0) rounds as sum did before Python 3.12
+from operator import add
 from typing import NamedTuple, Sequence
 
 MODELS = ("power_law", "exponential")
@@ -38,6 +42,14 @@ class FitResult(NamedTuple):
     sse: float
     r_squared: float
 
+    def to_csv(self) -> str:
+        """The header line of the field names, then the row, each float as its repr."""
+        return ",".join(self._fields) + "\n" + ",".join([self.model, *map(repr, self[1:])]) + "\n"
+
+    def to_json(self) -> str:
+        """One JSON object of the fields, on one line."""
+        return json.dumps(self._asdict()) + "\n"
+
 
 class TailResidual(NamedTuple):
     """Model residuals (prediction minus data) at one high degree."""
@@ -53,6 +65,12 @@ class FitComparison(NamedTuple):
     exponential: FitResult
     preferred: str  # "power_law", "exponential", or "tie"
     tail_residuals: tuple[TailResidual, ...]
+
+    def to_json(self) -> str:
+        """Indented JSON, each nested record an object rather than an array."""
+        nested = {"power_law": self.power_law._asdict(), "exponential": self.exponential._asdict()}
+        tails = [tail._asdict() for tail in self.tail_residuals]
+        return json.dumps({**self._asdict(), **nested, "tail_residuals": tails}, indent=2) + "\n"
 
 
 class FitNotConverged(ValueError):
@@ -102,12 +120,12 @@ def _log_space_guess(k: list[float], p: list[float], model: str) -> tuple[float,
     """Linear regression on log p gives the starting parameters."""
     x = [math.log(kv) for kv in k] if model == "power_law" else k
     y = [math.log(pv) for pv in p]
-    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    x_mean, y_mean = reduce(add, x, 0) / len(x), reduce(add, y, 0) / len(y)
     dx = [xv - x_mean for xv in x]
-    denom = sum(d * d for d in dx)
+    denom = reduce(add, (d * d for d in dx), 0)
     if denom == 0.0:
         raise ValueError("cannot form initial guess: degenerate degree values")
-    slope = sum(d * (yv - y_mean) for d, yv in zip(dx, y)) / denom
+    slope = reduce(add, (d * (yv - y_mean) for d, yv in zip(dx, y)), 0) / denom
     if slope >= 0.0:
         raise ValueError("cannot form initial guess: distribution is not decreasing")
     intercept = y_mean - slope * x_mean
@@ -140,7 +158,7 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
 
     def sse_of(av: float, sv: float) -> float:
         residuals = [av * _basis(kv, sv, model)[0] - pv for kv, pv in zip(k, p)]
-        return sum(r * r for r in residuals)
+        return reduce(add, (r * r for r in residuals), 0)
 
     sse = sse_of(a, shape)
     damping = 1e-3
@@ -190,8 +208,8 @@ def fit_model(ccdf: Ccdf, model: str) -> FitResult:
         # a last step that the boundary cut short ends there, not at a minimum
         stalled = converged and blocked and sse > 0.0
 
-    p_mean = sum(p) / len(p)
-    total = sum((pv - p_mean) * (pv - p_mean) for pv in p)
+    p_mean = reduce(add, p, 0) / len(p)
+    total = reduce(add, ((pv - p_mean) * (pv - p_mean) for pv in p), 0)
     r_squared = 1.0 - sse / total if total > 0 else 1.0
     result = FitResult(model, a, shape, sse, r_squared)
     if stalled:
@@ -236,10 +254,3 @@ def compare_fits(ccdf: Ccdf) -> FitComparison:
             )
         )
     return FitComparison(power, exponential, preferred, tuple(tail))
-
-
-def fit_result_to_json(result: FitResult) -> str:
-    import json
-
-    return json.dumps(result._asdict())
-

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import reduce  # reduce(add, floats, 0) rounds as sum did before Python 3.12
+from operator import add
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from .communities import detect_communities
@@ -234,6 +236,13 @@ def _unpickled(payload: bytes, status: int) -> list[MetricsRecord]:
     return value
 
 
+def _scaled(values: list[float]) -> list[float]:
+    """The values over the power of two that brings the largest magnitude into [0.5, 1):
+    exact, so r stays as it is, and the sums of squares neither overflow nor underflow."""
+    exponent = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of finite values, clamped to [-1, 1]."""
     a = [float(x) for x in series_a]
@@ -244,13 +253,14 @@ def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
         raise ValueError("correlation needs at least 2 points")
     if not all(map(math.isfinite, a + b)):
         raise ValueError("undefined correlation: non-finite value")
-    mean_a = sum(a) / len(a)
-    mean_b = sum(b) / len(b)
-    var_a = sum((x - mean_a) ** 2 for x in a)
-    var_b = sum((y - mean_b) ** 2 for y in b)
+    a, b = _scaled(a), _scaled(b)
+    mean_a = reduce(add, a, 0) / len(a)
+    mean_b = reduce(add, b, 0) / len(b)
+    var_a = reduce(add, ((x - mean_a) ** 2 for x in a), 0)
+    var_b = reduce(add, ((y - mean_b) ** 2 for y in b), 0)
     if var_a == 0.0 or var_b == 0.0:
         raise ValueError("undefined correlation: constant series")
-    cov = sum((x - mean_a) * (y - mean_b) for x, y in zip(a, b))
+    cov = reduce(add, ((x - mean_a) * (y - mean_b) for x, y in zip(a, b)), 0)
     r = cov / math.sqrt(var_a * var_b)
     return max(-1.0, min(1.0, r))
 

@@ -6,10 +6,11 @@ import os
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from gridtopo import GraphSnapshot, TemporalGridLog, load_log
+from gridtopo import GraphSnapshot, TemporalGridLog, evolution, load_log
 from gridtopo.data import expected_metrics_path, fixture_paths
 
 BENCH_GEN = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
@@ -58,6 +59,14 @@ def bench_log_csv(nodes: int, seed: int, churn: bool) -> tuple[str, str]:
 def churn_csv(seed: int) -> tuple[str, str]:
     """Nodes and edges CSV text of the benchmark's 400-node churn log."""
     return bench_log_csv(400, seed, True)
+
+
+def forced_workers(workers):
+    """Patch the worker count and the fork threshold, so the fork path runs
+    whatever the CPU count and however cheap the graphs are."""
+    return mock.patch.multiple(
+        evolution, _worker_count=lambda distinct: min(workers, distinct), MIN_FORK_COST=0
+    )
 
 
 @pytest.fixture(scope="session")

@@ -454,7 +454,7 @@ def check_cli_fit_round_trip() -> None:
     from pathlib import Path
 
     from gridtopo.data import fixture_paths
-    from gridtopo.degree_fit import FitResult, fit_result_to_json
+    from gridtopo.degree_fit import FitResult
 
     nodes, edges = fixture_paths()
     with tempfile.TemporaryDirectory() as tmp:
@@ -467,7 +467,7 @@ def check_cli_fit_round_trip() -> None:
             out,
         ).decode()
         result = FitResult(**json.loads(text))
-        assert fit_result_to_json(result) + "\n" == text
+        assert result.to_json() == text
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from gridtopo.degree_fit import (
     build_ccdf,
     compare_fits,
     fit_model,
-    fit_result_to_json,
     preferred_model,
 )
 from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
@@ -156,7 +155,7 @@ def test_tail_residual_table_covers_top_three_degrees():
 def test_fit_result_json_round_trip():
     points = tuple((k, math.exp(-k / 2.5)) for k in range(1, 11))
     fit = fit_model(Ccdf(points), "exponential")
-    assert FitResult(**json.loads(fit_result_to_json(fit))) == fit
+    assert FitResult(**json.loads(fit.to_json())) == fit
 
 
 def test_invariant_ccdf_shape_and_reconstruction():

@@ -17,15 +17,16 @@ import functools
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from gridtopo.cli import main
 from gridtopo.grid_log import parse_log
 
-from conftest import bench_log_csv
-from test_evolution import forced_workers
+from conftest import bench_log_csv, forced_workers
 
 TABLE = Path(__file__).resolve().parent / "frozen" / "digests.json"
 SERIES = ["--from", "1950", "--to", "2019"]
@@ -52,6 +53,9 @@ SINGLE_GRAPH = {
         for year in range(1950, 2011, 10)
     },
 }
+
+CASES = {**MULTI_YEAR, **SINGLE_GRAPH}
+BUILTIN_SUM = sum
 
 
 def sha256(data: bytes) -> str:
@@ -117,3 +121,18 @@ def test_timeseries_seed_is_accepted_and_changes_nothing(tmp_path, workers):
     log, argv = MULTI_YEAR["growth-350 timeseries"]
     with forced_workers(workers):
         assert run(tmp_path, log, [*argv, "--seed", "7"]) == table()["outputs"]["growth-350 timeseries"]
+
+
+def compensated_sum(iterable, /, start=0):
+    """The built-in ``sum``, but with float totals compensated as Python 3.12
+    and later compensate them (here exactly rounded by ``math.fsum``)."""
+    items = [start, *iterable]
+    if all(isinstance(x, int) for x in items) or not all(isinstance(x, (int, float)) for x in items):
+        return BUILTIN_SUM(items[1:], start)
+    return math.fsum(items)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_do_not_depend_on_how_the_interpreter_rounds_sum(tmp_path, name):
+    with mock.patch("builtins.sum", compensated_sum):
+        assert run(tmp_path, *CASES[name]) == table()["outputs"][name]

@@ -4,9 +4,9 @@ import errno
 import functools
 import math
 import os
+import random
 import threading
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from gridtopo.grid_log import parse_log
 from gridtopo.metrics import METRICS_CSV_HEADER, MetricsRecord, records_to_csv
 
 import properties
-from conftest import bench_log_csv, churn_csv
+from conftest import bench_log_csv, churn_csv, forced_workers
 from oracles import reference_timeseries, small_world_transition
 
 CHURN_YEARS = range(1950, 2020)
@@ -196,14 +196,6 @@ def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypa
     assert calls["compute_metrics_record"] == 35
     assert calls["detect_communities"] == communities
     assert report.metric_values == tuple(v for v in expected if v is not None)
-
-
-def forced_workers(workers):
-    """Patch the worker count and the fork threshold, so the fork path runs
-    whatever the CPU count and however cheap the graphs are."""
-    return mock.patch.multiple(
-        evolution, _worker_count=lambda distinct: min(workers, distinct), MIN_FORK_COST=0
-    )
 
 
 def assert_no_child_left():
@@ -467,6 +459,28 @@ def test_pearson_rejects_non_finite_values(bad):
     for a, b in (([1, bad, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, bad])):
         with pytest.raises(ValueError, match="^undefined correlation: non-finite value$"):
             pearson(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1e200, -1e200, 0], [1, 2, 3]),  # the squares overflowed
+        ([1e-200, -1e-200, 0], [1, 2, 3]),  # the squares underflowed to a constant series
+        ([1e90, -1e90, 0], [1e90, 2e90, 3e90]),  # the product of the variances overflowed
+        ([1e-90, -1e-90, 0], [1e-90, 2e-90, 3e-90]),  # the product of the variances underflowed
+        ([1e-160, -1e-160, 0], [1, 2, 3]),  # the squares lost digits as subnormals
+    ],
+)
+def test_pearson_of_huge_or_tiny_finite_values(a, b):
+    assert pearson(a, b) == pearson(b, a) == -0.5
+
+
+@pytest.mark.parametrize("exponent", [-1000, -400, -7, 7, 400, 900])
+def test_pearson_is_unchanged_when_a_series_is_scaled_by_a_power_of_two(exponent):
+    rng = random.Random(exponent)
+    a = [rng.uniform(-50.0, 50.0) for _ in range(70)]
+    b = [rng.randrange(200) for _ in range(70)]
+    assert pearson([math.ldexp(x, exponent) for x in a], b) == pearson(a, b)
 
 
 def test_transition_simple_scan():
