@@ -14,7 +14,6 @@ _EXPORTS = {
     "degree_fit": ("Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"),
     "evolution": (
         "CorrelationReport",
-        "compute_metrics_record",
         "compute_timeseries",
         "correlate_with_line_count",
         "pearson",
@@ -37,6 +36,7 @@ _EXPORTS = {
         "MetricsRecord",
         "average_path_length",
         "clustering_coefficient",
+        "compute_metrics_record",
         "degree_stats",
         "diameter",
         "modularity",

@@ -11,7 +11,7 @@ from .grid_log import load_log
 
 # Each command imports the modules it runs, so a launch loads no more of
 # the package than its command needs: `fit` never loads the community,
-# evolution or generator modules.
+# evolution or generator modules, and `snapshot` never loads evolution.
 
 DEFAULT_SEED = 42
 GENERATOR_KINDS = ("erdos_renyi", "watts_strogatz", "barabasi_albert")
@@ -66,7 +66,6 @@ def _add_log_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--format", choices=formats, default=formats[0])
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -83,36 +82,23 @@ def _year_range(args) -> range:
 
 
 def _cmd_snapshot(args) -> int:
-    from .evolution import compute_metrics_record
     from .graphs import build_snapshot
-    from .metrics import records_to_csv
+    from .metrics import compute_metrics_record, records_to_csv
 
     log = load_log(args.nodes, args.edges)
     record = compute_metrics_record(build_snapshot(log, args.year))
-    if args.format == "json":
-        import json
-
-        text = json.dumps(record.as_dict(), indent=2) + "\n"
-    else:
-        text = records_to_csv([record])
-    _write_output(text, args.out)
+    _write_output(record.to_json() if args.format == "json" else records_to_csv([record]), args.out)
     return 0
 
 
 def _cmd_timeseries(args) -> int:
     from .evolution import compute_timeseries
-    from .metrics import records_to_csv
+    from .metrics import records_to_csv, records_to_json
 
     years = _year_range(args)
     log = load_log(args.nodes, args.edges)
     records = compute_timeseries(log, years)
-    if args.format == "json":
-        import json
-
-        text = json.dumps([r.as_dict() for r in records], indent=2) + "\n"
-    else:
-        text = records_to_csv(records)
-    _write_output(text, args.out)
+    _write_output(records_to_json(records) if args.format == "json" else records_to_csv(records), args.out)
     return 0
 
 
@@ -241,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domestic-only", action="store_true")
     p.add_argument("--from", dest="year_from", type=int, required=True)
     p.add_argument("--to", dest="year_to", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the paired series CSV here")
     p.set_defaults(func=_cmd_correlate)
 

@@ -1,7 +1,5 @@
 """Per-year analysis across the log: time series and correlation.
 
-Years where a metric is undefined (too small, disconnected, edgeless)
-carry None rather than a silent zero; CSV output renders them as NA.
 A range's graphs come from one sweep over the log's commission and
 decommission events (``graphs.yearly_snapshots`` describes it), which
 repeats the previous year's graph in a year that changes nothing.  A
@@ -21,18 +19,9 @@ from functools import reduce  # reduce(add, floats, 0) rounds as sum did before 
 from operator import add
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
-from .communities import detect_communities
 from .graphs import GraphSnapshot, yearly_snapshots
 from .grid_log import TemporalGridLog, line_count_series
-from .metrics import (
-    MetricsRecord,
-    _mean_distance,
-    clustering_coefficient,
-    path_stats,
-    random_baselines,
-    record_field,
-    small_world_sigma,
-)
+from .metrics import MetricsRecord, compute_metrics_record, record_field
 
 # most processes that compute one range's records at once
 MAX_WORKERS = 8
@@ -51,47 +40,6 @@ class CorrelationReport(NamedTuple):
     metric_values: tuple[float, ...]
     line_counts: tuple[int, ...]
     dropped_years: tuple[int, ...]
-
-
-def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) -> MetricsRecord:
-    """Full metric row for one snapshot; undefined metrics become None.
-
-    ``modularity=False`` skips community detection and leaves Q None, for
-    callers that read no Q.
-    """
-    if snapshot.year is None:
-        raise ValueError("snapshot carries no year")
-    n = snapshot.num_nodes
-    e = snapshot.num_edges
-    parts, distance_sum, longest = path_stats(snapshot)
-
-    avg_degree = 2 * e / n if n > 0 else None
-    clustering = clustering_coefficient(snapshot) if n > 0 else None
-    path_length = _mean_distance(parts, distance_sum)
-    diam = longest if path_length is not None else None
-    random_l = random_c = None
-    if n >= 2 and avg_degree is not None and avg_degree > 1:
-        random_l, random_c = random_baselines(n, avg_degree)
-    sigma = None
-    if clustering is not None and path_length is not None and random_c is not None:
-        sigma = small_world_sigma(clustering, random_c, path_length, random_l)[0]
-    q = detect_communities(snapshot).achieved_q if modularity and e >= 1 else None
-
-    return MetricsRecord(
-        year=snapshot.year,
-        num_nodes=n,
-        num_edges=e,
-        avg_degree=avg_degree,
-        diameter=diam,
-        avg_path_length=path_length,
-        clustering=clustering,
-        random_path_length=random_l,
-        random_clustering=random_c,
-        sigma=sigma,
-        modularity_q=q,
-        component_count=parts.num_components,
-        largest_component_size=len(parts.largest),
-    )
 
 
 def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> tuple[MetricsRecord, ...]:
@@ -245,8 +193,11 @@ def _scaled(values: list[float]) -> list[float]:
 
 def pearson(series_a: Sequence[float], series_b: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of finite values, clamped to [-1, 1]."""
-    a = [float(x) for x in series_a]
-    b = [float(x) for x in series_b]
+    try:
+        a = [float(x) for x in series_a]
+        b = [float(x) for x in series_b]
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("undefined correlation: non-finite value") from None
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:

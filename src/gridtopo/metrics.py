@@ -13,6 +13,8 @@ Conventions used throughout:
 * modularity Q of a node partition g:
   Q = (1/2E) * sum_ij (A_ij - k_i*k_j/2E) * [g_i == g_j]
   over ordered pairs including i = j (A_ii = 0)
+* a metric undefined on a snapshot (too small, disconnected, edgeless) is
+  None in its record rather than a silent zero; CSV output renders it as NA
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ class MetricsRecord(NamedTuple):
     def as_dict(self) -> dict:
         return dict(zip(METRICS_CSV_COLUMNS, self))
 
+    def to_json(self) -> str:
+        """The indented JSON object that ``snapshot --format json`` prints."""
+        import json
+
+        return json.dumps(self.as_dict(), indent=2) + "\n"
+
 
 METRICS_CSV_COLUMNS = (
     "year",
@@ -90,6 +98,13 @@ def records_to_csv(records: Iterable[MetricsRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def records_to_json(records: Iterable[MetricsRecord]) -> str:
+    """The indented JSON array, one object per record, that ``timeseries --format json`` prints."""
+    import json
+
+    return json.dumps([record.as_dict() for record in records], indent=2) + "\n"
+
+
 def format_metric_value(value) -> str:
     """CSV cell formatting: NA for absent, 6 significant digits for floats."""
     if value is None:
@@ -97,6 +112,52 @@ def format_metric_value(value) -> str:
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)
+
+
+def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) -> MetricsRecord:
+    """Full metric row for one snapshot; undefined metrics become None.
+
+    ``modularity=False`` skips community detection and leaves Q None, for
+    callers that read no Q.  (The keyword hides this module's
+    ``modularity`` function in the body.)
+    """
+    if snapshot.year is None:
+        raise ValueError("snapshot carries no year")
+    n = snapshot.num_nodes
+    e = snapshot.num_edges
+    parts, distance_sum, longest = path_stats(snapshot)
+
+    avg_degree = 2 * e / n if n > 0 else None
+    clustering = clustering_coefficient(snapshot) if n > 0 else None
+    path_length = _mean_distance(parts, distance_sum)
+    diam = longest if path_length is not None else None
+    random_l = random_c = None
+    if n >= 2 and avg_degree is not None and avg_degree > 1:
+        random_l, random_c = random_baselines(n, avg_degree)
+    sigma = None
+    if clustering is not None and path_length is not None and random_c is not None:
+        sigma = small_world_sigma(clustering, random_c, path_length, random_l)[0]
+    q = None
+    if modularity and e >= 1:
+        from .communities import detect_communities  # not at the top: communities imports this module
+
+        q = detect_communities(snapshot).achieved_q
+
+    return MetricsRecord(
+        year=snapshot.year,
+        num_nodes=n,
+        num_edges=e,
+        avg_degree=avg_degree,
+        diameter=diam,
+        avg_path_length=path_length,
+        clustering=clustering,
+        random_path_length=random_l,
+        random_clustering=random_c,
+        sigma=sigma,
+        modularity_q=q,
+        component_count=parts.num_components,
+        largest_component_size=len(parts.largest),
+    )
 
 
 def degree_stats(snapshot: GraphSnapshot) -> DegreeStats:

@@ -442,7 +442,7 @@ def check_cli_reproducible_outputs() -> None:
         tmp = Path(tmp)
         series_args = [
             "timeseries", "--nodes", str(nodes), "--edges", str(edges),
-            "--from", "1950", "--to", "1980", "--seed", "42",
+            "--from", "1950", "--to", "1980",
         ]
         assert _run_cli_to_file(series_args, tmp / "a.csv") == _run_cli_to_file(series_args, tmp / "b.csv")
         gen_args = ["generate", "--kind", "barabasi_albert", "--n", "80", "--m", "2", "--seed", "7"]

@@ -471,6 +471,23 @@ def test_unknown_flag_exits_nonzero(fixture_csv_paths):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snapshot", "--year", "1970"],
+        ["timeseries", "--from", "1950", "--to", "1980"],
+        ["fit", "--year", "1980"],
+        ["correlate", "--voltages", "220,400", "--from", "1950", "--to", "1980"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_that_draws_nothing_at_random_takes_no_seed(capsys, fixture_csv_paths, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *log_args(fixture_csv_paths), *argv[1:], "--seed", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 7\n")
+
+
 def test_bad_year_range_reports_error(capsys, fixture_csv_paths):
     code, _, err = run_cli(
         capsys, "timeseries", *log_args(fixture_csv_paths), "--from", "1980", "--to", "1950"
@@ -504,8 +521,6 @@ def test_outputs_reproducible(capsys, tmp_path, fixture_csv_paths):
             "1950",
             "--to",
             "1980",
-            "--seed",
-            "42",
             "--out",
             str(out_path),
         )

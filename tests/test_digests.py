@@ -116,13 +116,6 @@ def test_single_graph_outputs_keep_their_bytes(tmp_path, name):
     assert run(tmp_path, *SINGLE_GRAPH[name]) == table()["outputs"][name]
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_timeseries_seed_is_accepted_and_changes_nothing(tmp_path, workers):
-    log, argv = MULTI_YEAR["growth-350 timeseries"]
-    with forced_workers(workers):
-        assert run(tmp_path, log, [*argv, "--seed", "7"]) == table()["outputs"]["growth-350 timeseries"]
-
-
 def compensated_sum(iterable, /, start=0):
     """The built-in ``sum``, but with float totals compensated as Python 3.12
     and later compensate them (here exactly rounded by ``math.fsum``)."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import cli, evolution, graphs, metrics
+from gridtopo import cli, communities, evolution, graphs, metrics
 from gridtopo.evolution import (
     compute_metrics_record,
     compute_timeseries,
@@ -178,8 +178,8 @@ def test_timeseries_equals_reference_on_churn_logs(seed):
     assert compute_timeseries(log, CHURN_YEARS) == reference_timeseries(log, CHURN_YEARS)
 
 
-@pytest.mark.parametrize("metric, communities", [("sigma", 0), ("Q", 35)])
-def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, communities):
+@pytest.mark.parametrize("metric, q_calls", [("sigma", 0), ("Q", 35)])
+def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, q_calls):
     log = churn_log(1)
     attr = {"sigma": "sigma", "Q": "modularity_q"}[metric]
     expected = [getattr(record, attr) for record in reference_timeseries(log, CHURN_YEARS)]
@@ -187,14 +187,14 @@ def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypa
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)
     calls = Counter()
     counted_calls(monkeypatch, evolution, "compute_metrics_record", calls)
-    counted_calls(monkeypatch, evolution, "detect_communities", calls)
+    counted_calls(monkeypatch, communities, "detect_communities", calls)
     compute_timeseries(log, CHURN_YEARS)
     # half the churn years repeat the graph of the year before
     assert calls == {"compute_metrics_record": 35, "detect_communities": 35}
     calls.clear()
     report = correlate_with_line_count(log, metric, [220, 400], True, CHURN_YEARS)
     assert calls["compute_metrics_record"] == 35
-    assert calls["detect_communities"] == communities
+    assert calls["detect_communities"] == q_calls
     assert report.metric_values == tuple(v for v in expected if v is not None)
 
 
@@ -453,7 +453,7 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
 def test_pearson_rejects_non_finite_values(bad):
     # a NaN once passed through the clamp to [-1, 1] as r = 1.0
     for a, b in (([1, bad, 3], [1, 2, 3]), ([1, 2, 3], [1, 2, bad])):

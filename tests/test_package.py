@@ -71,9 +71,12 @@ def test_importing_the_package_loads_no_submodule():
     [
         (["fit", "--year", "1980", "--model", "both"],
          ["gridtopo.communities", "gridtopo.evolution", "gridtopo.generators", "dataclasses"]),
-        (["snapshot", "--year", "1970"], ["gridtopo.degree_fit", "gridtopo.generators", "dataclasses", "json"]),
+        (["snapshot", "--year", "1970"],
+         ["gridtopo.degree_fit", "gridtopo.evolution", "gridtopo.generators", "dataclasses", "json"]),
         (["generate", "--kind", "erdos_renyi", "--n", "10", "--p", "0.5"],
          ["gridtopo.communities", "gridtopo.degree_fit", "gridtopo.evolution", "gridtopo.metrics", "dataclasses"]),
+        (["correlate", "--metric", "sigma", "--voltages", "220,400", "--from", "1950", "--to", "1980"],
+         ["gridtopo.communities", "gridtopo.degree_fit", "gridtopo.generators"]),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(fixture_csv_paths, argv, left_out):
