@@ -10,7 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "communities": ("CommunityAssignment", "detect_communities"),
+    "communities": ("CommunityAssignment", "detect_communities", "modularity"),
     "degree_fit": ("Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"),
     "evolution": (
         "CorrelationReport",
@@ -39,7 +39,6 @@ _EXPORTS = {
         "compute_metrics_record",
         "degree_stats",
         "diameter",
-        "modularity",
         "random_baselines",
         "small_world_sigma",
     ),

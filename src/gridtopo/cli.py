@@ -138,17 +138,8 @@ def _cmd_correlate(args) -> int:
     log = load_log(args.nodes, args.edges)
     report = correlate_with_line_count(log, args.metric, voltages, args.domestic_only, years)
     if args.out is not None:
-        lines = [f"year,{report.metric},line_count"]
-        for year, value, count in zip(report.years, report.metric_values, report.line_counts):
-            lines.append(f"{year},{value!r},{count}")
-        _write_output("\n".join(lines) + "\n", args.out)
-    dropped = ",".join(str(y) for y in report.dropped_years)
-    sys.stdout.write(
-        f"metric={report.metric}\n"
-        f"r={report.r!r}\n"
-        f"years_used={len(report.years)}\n"
-        f"dropped_years={dropped}\n"
-    )
+        _write_output(report.to_csv(), args.out)
+    sys.stdout.write(report.to_text())
     return 0
 
 
@@ -185,11 +176,7 @@ def _cmd_communities(args) -> int:
     assignment = detect_communities(snapshot, args.seed, args.restarts)
     _write_output(assignment_to_csv(snapshot, assignment), args.out)
     if args.out is not None:
-        sys.stdout.write(
-            f"q={assignment.achieved_q!r}\n"
-            f"communities={assignment.num_communities}\n"
-            f"method={assignment.method_tag}\n"
-        )
+        sys.stdout.write(assignment.to_text())
     return 0
 
 

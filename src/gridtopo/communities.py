@@ -1,5 +1,7 @@
 """Community detection by greedy agglomerative modularity maximization.
 
+Q = (1/2E) * sum_ij (A_ij - k_i*k_j/2E) * [g_i == g_j] is the modularity
+of a node partition g, over ordered pairs including i = j (A_ii = 0).
 The greedy pass starts from singleton communities and repeatedly merges
 the pair of connected communities with the largest modularity gain
 
@@ -33,9 +35,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from . import metrics
 from .graphs import GraphSnapshot
 
 
@@ -50,6 +51,36 @@ class CommunityAssignment(NamedTuple):
     @property
     def num_communities(self) -> int:
         return len(set(self.membership))
+
+    def to_text(self) -> str:
+        """The summary lines ``communities --out`` prints."""
+        return f"q={self.achieved_q!r}\ncommunities={self.num_communities}\nmethod={self.method_tag}\n"
+
+
+def modularity(snapshot: GraphSnapshot, membership: Sequence[int]) -> float:
+    """Modularity Q of a community assignment.
+
+    ``membership`` is a sequence of community labels indexed by node.
+    """
+    n = snapshot.num_nodes
+    two_e = 2 * snapshot.num_edges
+    if two_e == 0:
+        raise ValueError("modularity undefined: graph has no edges")
+    if len(membership) != n or any(g is None for g in membership):
+        raise ValueError("assignment must cover every node exactly once")
+    intra: dict[int, int] = {}
+    degree_sum: dict[int, int] = {}
+    for i in range(n):
+        g = membership[i]
+        degree_sum[g] = degree_sum.get(g, 0) + snapshot.degree(i)
+    for i, j in snapshot.edges():
+        if membership[i] == membership[j]:
+            g = membership[i]
+            intra[g] = intra.get(g, 0) + 1
+    value = 0.0
+    for g in sorted(degree_sum):
+        value += 2 * intra.get(g, 0) - degree_sum[g] * degree_sum[g] / two_e
+    return value / two_e
 
 
 def _compact_membership(snapshot: GraphSnapshot, community_of: list[int]) -> tuple[int, ...]:
@@ -131,13 +162,13 @@ def detect_communities(snapshot: GraphSnapshot, seed: int = 42, restarts: int = 
         raise ValueError("restarts must be at least 1")
     n = snapshot.num_nodes
     best_membership = _greedy_pass(snapshot, tuple(range(n)))
-    best_q = metrics.modularity(snapshot, best_membership)
+    best_q = modularity(snapshot, best_membership)
     rng = random.Random(seed)
     for _ in range(1, restarts):
         ids = list(range(n))
         rng.shuffle(ids)
         membership = _greedy_pass(snapshot, tuple(ids))
-        q = metrics.modularity(snapshot, membership)
+        q = modularity(snapshot, membership)
         if q > best_q:
             best_membership, best_q = membership, q
     return CommunityAssignment(best_membership, best_q, "greedy_agglomerative", seed)

@@ -41,6 +41,17 @@ class CorrelationReport(NamedTuple):
     line_counts: tuple[int, ...]
     dropped_years: tuple[int, ...]
 
+    def to_csv(self) -> str:
+        """The paired series, ``year,<metric>,line_count``, that ``correlate --out`` writes."""
+        lines = [f"year,{self.metric},line_count"]
+        lines.extend(f"{y},{v!r},{c}" for y, v, c in zip(self.years, self.metric_values, self.line_counts))
+        return "\n".join(lines) + "\n"
+
+    def to_text(self) -> str:
+        """The summary lines ``correlate`` prints."""
+        dropped = ",".join(map(str, self.dropped_years))
+        return f"metric={self.metric}\nr={self.r!r}\nyears_used={len(self.years)}\ndropped_years={dropped}\n"
+
 
 def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> tuple[MetricsRecord, ...]:
     """One MetricsRecord per year."""

@@ -1,4 +1,4 @@
-"""Per-snapshot network metrics: degrees, paths, clustering, modularity.
+"""Per-snapshot network metrics: degrees, paths, clustering, and their record.
 
 Conventions used throughout:
 
@@ -10,9 +10,7 @@ Conventions used throughout:
   counts edges among node i's neighbours; nodes with degree < 2 contribute 0
 * random-graph baselines: L_r = (ln N - 0.5772)/ln<k> + 0.5 and C_r = <k>/N
 * small-world coefficient sigma = (C/C_r) / (L/L_r), small-world iff > 1
-* modularity Q of a node partition g:
-  Q = (1/2E) * sum_ij (A_ij - k_i*k_j/2E) * [g_i == g_j]
-  over ordered pairs including i = j (A_ii = 0)
+* modularity Q as the communities module defines it
 * a metric undefined on a snapshot (too small, disconnected, edgeless) is
   None in its record rather than a silent zero; CSV output renders it as NA
 """
@@ -20,7 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .graphs import ComponentPartition, GraphSnapshot, connected_components
 
@@ -118,8 +116,7 @@ def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) 
     """Full metric row for one snapshot; undefined metrics become None.
 
     ``modularity=False`` skips community detection and leaves Q None, for
-    callers that read no Q.  (The keyword hides this module's
-    ``modularity`` function in the body.)
+    callers that read no Q.
     """
     if snapshot.year is None:
         raise ValueError("snapshot carries no year")
@@ -139,7 +136,7 @@ def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) 
         sigma = small_world_sigma(clustering, random_c, path_length, random_l)[0]
     q = None
     if modularity and e >= 1:
-        from .communities import detect_communities  # not at the top: communities imports this module
+        from .communities import detect_communities  # here, so a record without Q never loads communities
 
         q = detect_communities(snapshot).achieved_q
 
@@ -284,29 +281,3 @@ def small_world_sigma(
         raise ValueError("baselines and path length must be positive")
     sigma = (clustering / random_clustering) / (path_length / random_path_length)
     return sigma, sigma > 1
-
-
-def modularity(snapshot: GraphSnapshot, membership: Sequence[int]) -> float:
-    """Modularity Q of a community assignment.
-
-    ``membership`` is a sequence of community labels indexed by node.
-    """
-    n = snapshot.num_nodes
-    two_e = 2 * snapshot.num_edges
-    if two_e == 0:
-        raise ValueError("modularity undefined: graph has no edges")
-    if len(membership) != n or any(g is None for g in membership):
-        raise ValueError("assignment must cover every node exactly once")
-    intra: dict[int, int] = {}
-    degree_sum: dict[int, int] = {}
-    for i in range(n):
-        g = membership[i]
-        degree_sum[g] = degree_sum.get(g, 0) + snapshot.degree(i)
-    for i, j in snapshot.edges():
-        if membership[i] == membership[j]:
-            g = membership[i]
-            intra[g] = intra.get(g, 0) + 1
-    value = 0.0
-    for g in sorted(degree_sum):
-        value += 2 * intra.get(g, 0) - degree_sum[g] * degree_sum[g] / two_e
-    return value / two_e

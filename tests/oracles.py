@@ -36,7 +36,7 @@ from gridtopo.degree_fit import (
     FitNotConverged,
     FitResult,
 )
-from gridtopo.communities import CommunityAssignment, _compact_membership
+from gridtopo.communities import CommunityAssignment, _compact_membership, modularity
 from gridtopo.evolution import compute_metrics_record
 from gridtopo.graphs import build_snapshot, connected_components
 from gridtopo.grid_log import (
@@ -48,7 +48,6 @@ from gridtopo.grid_log import (
     TemporalGridLog,
     active_elements,
 )
-from gridtopo.metrics import modularity
 
 UNREACHABLE = -1
 EXHAUSTIVE_MAX_NODES = 12

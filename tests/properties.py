@@ -510,8 +510,8 @@ INVARIANTS: tuple[tuple[str, object], ...] = (
     ("graphs.bfs_distance_bound", check_bfs_distance_bound),
     ("graphs.hop_distance_triangle_inequality", check_hop_distance_triangle_inequality),
     ("graphs.build_snapshot_pure", check_build_snapshot_pure),
-    ("metrics.modularity_intra_edge_monotonicity", check_modularity_intra_edge_monotonicity),
-    ("metrics.modularity_bounds", check_modularity_bounds),
+    ("communities.modularity_intra_edge_monotonicity", check_modularity_intra_edge_monotonicity),
+    ("communities.modularity_bounds", check_modularity_bounds),
     ("metrics.relabeling_invariance", check_metric_relabeling_invariance),
     ("metrics.sigma_scale_consistency", check_sigma_scale_consistency),
     ("metrics.complete_graph_values", check_complete_graph_metrics),

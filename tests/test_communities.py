@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo.communities import _greedy_pass, assignment_to_csv, detect_communities
+from gridtopo.communities import _greedy_pass, assignment_to_csv, detect_communities, modularity
 from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.grid_log import parse_log
-from gridtopo.metrics import modularity
 
 import properties
 from conftest import bench_log_csv, clique_union, random_graph

@@ -47,6 +47,9 @@ MULTI_YEAR = {  # name: (log, argv); --out, where given, is a file in a temporar
 SINGLE_GRAPH = {
     "growth-800 snapshot json": ("growth-800", ["snapshot", "--year", "2019", "--format", "json"]),
     "churn-2000 communities restarts 3": ("churn-2000", ["communities", "--year", "2019", "--restarts", "3"]),
+    "growth-800 communities restarts 3 out": (
+        "growth-800", ["communities", "--year", "2019", "--restarts", "3", "--out"]
+    ),
     "generate barabasi_albert": (None, ["generate", "--kind", "barabasi_albert", "--n", "1000", "--m", "3"]),
     **{
         f"growth-4000 fit both {year}": ("growth-4000", ["fit", "--year", str(year), "--model", "both"])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridtopo import metrics
+from gridtopo.communities import modularity
 from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from gridtopo.graphs import GraphSnapshot, build_snapshot
 from gridtopo.metrics import (
@@ -17,7 +18,6 @@ from gridtopo.metrics import (
     clustering_coefficient,
     degree_stats,
     diameter,
-    modularity,
     path_stats,
     random_baselines,
     records_to_csv,

@@ -1,11 +1,13 @@
-"""The package loads lazily, and its records are picklable NamedTuples."""
+"""The package loads lazily, imports without a cycle, and its records are picklable NamedTuples."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +26,10 @@ from gridtopo.generators import GeneratorSpec
 
 # the names the package exported when it imported every module up front, less
 # the sigma-crossing scan, which moved to the test oracles, and MetricTimeSeries,
-# whose records compute_timeseries now returns as a plain tuple
+# whose records compute_timeseries now returns as a plain tuple; modularity
+# moved from metrics to communities, its only caller
 OLD_EXPORTS = {
-    "communities": ["CommunityAssignment", "detect_communities"],
+    "communities": ["CommunityAssignment", "detect_communities", "modularity"],
     "degree_fit": ["Ccdf", "FitComparison", "FitResult", "build_ccdf", "compare_fits", "fit_model"],
     "evolution": [
         "CorrelationReport", "compute_metrics_record", "compute_timeseries",
@@ -40,8 +43,7 @@ OLD_EXPORTS = {
     ],
     "metrics": [
         "METRICS_CSV_HEADER", "DegreeStats", "MetricsRecord", "average_path_length",
-        "clustering_coefficient", "degree_stats", "diameter", "modularity", "random_baselines",
-        "small_world_sigma",
+        "clustering_coefficient", "degree_stats", "diameter", "random_baselines", "small_world_sigma",
     ],
 }
 
@@ -77,6 +79,8 @@ def test_importing_the_package_loads_no_submodule():
          ["gridtopo.communities", "gridtopo.degree_fit", "gridtopo.evolution", "gridtopo.metrics", "dataclasses"]),
         (["correlate", "--metric", "sigma", "--voltages", "220,400", "--from", "1950", "--to", "1980"],
          ["gridtopo.communities", "gridtopo.degree_fit", "gridtopo.generators"]),
+        (["communities", "--year", "1975"],
+         ["gridtopo.degree_fit", "gridtopo.evolution", "gridtopo.generators", "gridtopo.metrics"]),
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(fixture_csv_paths, argv, left_out):
@@ -95,6 +99,40 @@ def test_a_command_loads_only_the_modules_it_runs(fixture_csv_paths, argv, left_
     )
     assert "gridtopo.cli" in loaded
     assert sorted(set(left_out) & set(loaded)) == []
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Each module of the package, with the package modules it imports anywhere in its body."""
+    source = Path(gridtopo.__file__).parent
+    modules = {path.stem for path in source.glob("*.py")}
+    imports = {}
+    for module in modules:
+        tree = ast.parse((source / f"{module}.py").read_text(encoding="utf-8"))
+        imports[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import a, b
+                    imports[module].update(alias.name for alias in node.names)
+                else:
+                    imports[module].add(node.module.split(".")[0])
+        imports[module] &= modules
+    return imports
+
+
+def test_the_package_has_no_import_cycle():
+    imports = package_imports()
+    assert "communities" in imports["metrics"]  # the walk sees an import inside a function
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        assert module not in path, "import cycle: " + " -> ".join([*path[path.index(module):], module])
+        if module not in done:
+            for imported in sorted(imports[module]):
+                visit(imported, [*path, module])
+            done.add(module)
+
+    for module in sorted(imports):
+        visit(module, [])
 
 
 def test_every_name_the_package_exported_still_resolves():
