@@ -175,8 +175,10 @@ def detect_communities(snapshot: GraphSnapshot, seed: int = 42, restarts: int = 
 
 
 def assignment_to_csv(snapshot: GraphSnapshot, assignment: CommunityAssignment) -> str:
-    """Export as node_id,community_id rows in node-label order."""
+    """Export as node_id,community_id rows in node-label order, ids quoted as CSV needs."""
     lines = ["node_id,community_id"]
-    for i, label in enumerate(snapshot.labels):
+    for i, label in enumerate(map(str, snapshot.labels)):
+        if any(c in label for c in ',"\r\n'):  # csv.writer leaves a lone CR unquoted before 3.13
+            label = '"' + label.replace('"', '""') + '"'
         lines.append(f"{label},{assignment.membership[i]}")
     return "\n".join(lines) + "\n"

@@ -239,7 +239,7 @@ def correlate_with_line_count(
     years = _checked_years(years)
     attr = record_field(metric)
     counts = line_count_series(log, voltages, domestic_only, years)
-    records = _yearly_records(log, years, modularity=attr == "modularity_q")
+    records = _yearly_records(log, years, modularity=attr == "Q")
     metric_values = [getattr(record, attr) for record in records]
     used_years, used_values, used_counts, dropped = [], [], [], []
     for year, value, count in zip(years, metric_values, counts):

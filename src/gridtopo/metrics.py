@@ -11,6 +11,8 @@ Conventions used throughout:
 * random-graph baselines: L_r = (ln N - 0.5772)/ln<k> + 0.5 and C_r = <k>/N
 * small-world coefficient sigma = (C/C_r) / (L/L_r), small-world iff > 1
 * modularity Q as the communities module defines it
+* MetricsRecord's fields are named as the CSV columns and JSON keys;
+  components counts the connected components, lcc_size the largest's nodes
 * a metric undefined on a snapshot (too small, disconnected, edgeless) is
   None in its record rather than a silent zero; CSV output renders it as NA
 """
@@ -39,54 +41,34 @@ class MetricsRecord(NamedTuple):
     """One year's full metric row."""
 
     year: int
-    num_nodes: int
-    num_edges: int
+    N: int
+    E: int
     avg_degree: float | None
     diameter: int | None
-    avg_path_length: float | None
-    clustering: float | None
-    random_path_length: float | None
-    random_clustering: float | None
+    L: float | None
+    C: float | None
+    L_r: float | None
+    C_r: float | None
     sigma: float | None
-    modularity_q: float | None
-    component_count: int
-    largest_component_size: int
-
-    def as_dict(self) -> dict:
-        return dict(zip(METRICS_CSV_COLUMNS, self))
+    Q: float | None
+    components: int
+    lcc_size: int
 
     def to_json(self) -> str:
         """The indented JSON object that ``snapshot --format json`` prints."""
         import json
 
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        return json.dumps(self._asdict(), indent=2) + "\n"
 
 
-METRICS_CSV_COLUMNS = (
-    "year",
-    "N",
-    "E",
-    "avg_degree",
-    "diameter",
-    "L",
-    "C",
-    "L_r",
-    "C_r",
-    "sigma",
-    "Q",
-    "components",
-    "lcc_size",
-)
-METRICS_CSV_HEADER = ",".join(METRICS_CSV_COLUMNS)
-_RECORD_FIELDS = dict(zip(METRICS_CSV_COLUMNS, MetricsRecord._fields, strict=True))
+METRICS_CSV_HEADER = ",".join(MetricsRecord._fields)
 
 
 def record_field(column: str) -> str:
-    """The MetricsRecord field behind a CSV column name."""
-    try:
-        return _RECORD_FIELDS[column]
-    except KeyError:
-        raise ValueError(f"unknown metric {column!r}") from None
+    """The column name itself, once it is checked to be one of the record's fields."""
+    if column not in MetricsRecord._fields:
+        raise ValueError(f"unknown metric {column!r}")
+    return column
 
 
 def records_to_csv(records: Iterable[MetricsRecord]) -> str:
@@ -100,7 +82,7 @@ def records_to_json(records: Iterable[MetricsRecord]) -> str:
     """The indented JSON array, one object per record, that ``timeseries --format json`` prints."""
     import json
 
-    return json.dumps([record.as_dict() for record in records], indent=2) + "\n"
+    return json.dumps([record._asdict() for record in records], indent=2) + "\n"
 
 
 def format_metric_value(value) -> str:
@@ -142,18 +124,18 @@ def compute_metrics_record(snapshot: GraphSnapshot, *, modularity: bool = True) 
 
     return MetricsRecord(
         year=snapshot.year,
-        num_nodes=n,
-        num_edges=e,
+        N=n,
+        E=e,
         avg_degree=avg_degree,
         diameter=diam,
-        avg_path_length=path_length,
-        clustering=clustering,
-        random_path_length=random_l,
-        random_clustering=random_c,
+        L=path_length,
+        C=clustering,
+        L_r=random_l,
+        C_r=random_c,
         sigma=sigma,
-        modularity_q=q,
-        component_count=parts.num_components,
-        largest_component_size=len(parts.largest),
+        Q=q,
+        components=parts.num_components,
+        lcc_size=len(parts.largest),
     )
 
 

@@ -228,15 +228,15 @@ def check_complete_graph_metrics() -> None:
 
 def check_metrics_record_fields() -> None:
     for rec in compute_timeseries(demo_log(), range(1950, 1981)):
-        if rec.num_nodes > 0:
-            assert rec.avg_degree == 2 * rec.num_edges / rec.num_nodes
-        if rec.clustering is not None:
-            assert 0.0 <= rec.clustering <= 1.0
-        if rec.num_edges >= 1 and rec.diameter is not None:
+        if rec.N > 0:
+            assert rec.avg_degree == 2 * rec.E / rec.N
+        if rec.C is not None:
+            assert 0.0 <= rec.C <= 1.0
+        if rec.E >= 1 and rec.diameter is not None:
             assert rec.diameter >= 1
         if rec.sigma is not None:
             assert rec.sigma >= 0.0
-        assert rec.largest_component_size <= rec.num_nodes
+        assert rec.lcc_size <= rec.N
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridtopo.cli import main
 from gridtopo.communities import _greedy_pass, assignment_to_csv, detect_communities, modularity
 from gridtopo.generators import barabasi_albert, erdos_renyi, watts_strogatz
 from gridtopo.graphs import GraphSnapshot, build_snapshot
@@ -102,6 +105,30 @@ def test_assignment_csv_export():
     text = assignment_to_csv(snap, assignment)
     assert text.splitlines()[0] == "node_id,community_id"
     assert text.splitlines()[1:] == ["x,0", "y,0", "z,0"]
+
+
+def test_assignment_csv_quotes_ids_that_csv_reads_back(tmp_path, capsys):
+    ids = ["Sub, North", 'say "B"', "two\nlines", "lone\rcr", "crlf\r\nid", "plain"]
+    quoted = ['"' + i.replace('"', '""') + '"' for i in ids]
+    nodes = "id,name,kind,commissioned,decommissioned,domestic\n" + "".join(
+        f"{q},n,substation,1950,,true\n" for q in quoted
+    )
+    edges = "id,node_a,node_b,voltage_kv,commissioned,decommissioned,domestic\n" + "".join(
+        f"e{k},{q},plain,220,1950,,true\n" for k, q in enumerate(quoted[:-1])
+    )
+    snap = build_snapshot(parse_log(nodes, edges), 1960)
+    assert sorted(snap.labels) == sorted(ids)
+    rows = list(csv.reader(io.StringIO(assignment_to_csv(snap, detect_communities(snap)), newline="")))
+    assert rows[0] == ["node_id", "community_id"]
+    assert [row[0] for row in rows[1:]] == list(snap.labels)
+    assert all(len(row) == 2 for row in rows)
+    # through the CLI: the plain id keeps its bytes, the one with a comma is quoted
+    (tmp_path / "nodes.csv").write_text(nodes, newline="")
+    (tmp_path / "edges.csv").write_text(edges, newline="")
+    argv = ["communities", "--nodes", str(tmp_path / "nodes.csv"), "--edges", str(tmp_path / "edges.csv")]
+    assert main([*argv, "--year", "1960"]) == 0
+    out = capsys.readouterr().out
+    assert '\n"Sub, North",0\n' in out and "\nplain,0\n" in out
 
 
 def test_invariant_detection_deterministic():

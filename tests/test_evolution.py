@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import errno
 import functools
+import json
 import math
 import os
 import random
+import re
 import threading
 from collections import Counter
 
@@ -34,18 +36,18 @@ def sigma_series(start_year, sigmas):
     return tuple(
         MetricsRecord(
             year=start_year + i,
-            num_nodes=10,
-            num_edges=10,
+            N=10,
+            E=10,
             avg_degree=2.0,
             diameter=3,
-            avg_path_length=2.0,
-            clustering=0.2,
-            random_path_length=2.5,
-            random_clustering=0.2,
+            L=2.0,
+            C=0.2,
+            L_r=2.5,
+            C_r=0.2,
             sigma=s,
-            modularity_q=0.3,
-            component_count=1,
-            largest_component_size=10,
+            Q=0.3,
+            components=1,
+            lcc_size=10,
         )
         for i, s in enumerate(sigmas)
     )
@@ -82,7 +84,7 @@ def test_record_makes_one_components_pass_and_no_single_source_bfs(monkeypatch, 
     # 1970 has two components; L and d of the 11-node LCC come from one
     # multi-source sweep, not from a single-source BFS per LCC node: that
     # BFS is only an oracle (tests/oracles.py), and no package module has one
-    assert (record.component_count, record.largest_component_size, record.num_nodes) == (2, 11, 12)
+    assert (record.components, record.lcc_size, record.N) == (2, 11, 12)
     assert calls["components"] == 1
     assert not any(hasattr(module, "shortest_path_lengths") for module in (graphs, metrics, evolution))
 
@@ -95,9 +97,9 @@ def test_a_record_needs_the_snapshot_year():
 def test_timeseries_monotone_growth_without_decommissions():
     log = parse_log(GROWTH_NODES, GROWTH_EDGES)
     series = compute_timeseries(log, range(1949, 1960))
-    node_counts = [r.num_nodes for r in series]
+    node_counts = [r.N for r in series]
     assert node_counts == sorted(node_counts)
-    edge_counts = [r.num_edges for r in series]
+    edge_counts = [r.E for r in series]
     assert edge_counts == sorted(edge_counts)
 
 
@@ -181,8 +183,7 @@ def test_timeseries_equals_reference_on_churn_logs(seed):
 @pytest.mark.parametrize("metric, q_calls", [("sigma", 0), ("Q", 35)])
 def test_each_distinct_graph_gets_one_record_and_q_only_when_correlated(monkeypatch, metric, q_calls):
     log = churn_log(1)
-    attr = {"sigma": "sigma", "Q": "modularity_q"}[metric]
-    expected = [getattr(record, attr) for record in reference_timeseries(log, CHURN_YEARS)]
+    expected = [getattr(record, metric) for record in reference_timeseries(log, CHURN_YEARS)]
     # calls made in forked children are not counted here, so compute in process
     monkeypatch.setattr(evolution, "_worker_count", lambda distinct: 1)
     calls = Counter()
@@ -424,18 +425,37 @@ def test_timeseries_undefined_metrics_are_none_not_zero(fixture_log):
     series = compute_timeseries(fixture_log, range(1950, 1953))
     first = series[0]
     assert first.sigma is None
-    assert first.random_path_length is None
+    assert first.L_r is None
     lines = records_to_csv(series).splitlines()
     assert lines[0] == METRICS_CSV_HEADER
     assert lines[1].count("NA") == 3
 
 
-def test_metric_view_and_unknown_name(fixture_log):
+UNKNOWN_METRICS = ("bogus", "count", "index", "_asdict", "_fields", "num_nodes", "modularity_q")
+
+
+def test_metric_view_and_unknown_name(capsys, fixture_log, fixture_csv_paths):
+    # the record's fields are the one schema: the CSV header, the JSON keys and the metric names
+    assert MetricsRecord._fields == tuple(METRICS_CSV_HEADER.split(","))
+    nodes, edges = fixture_csv_paths
+    log_args = ["--nodes", str(nodes), "--edges", str(edges)]
+    assert cli.main(["snapshot", *log_args, "--year", "1970", "--format", "json"]) == 0
+    assert tuple(json.loads(capsys.readouterr().out)) == MetricsRecord._fields
+    assert cli.main(["timeseries", *log_args, "--from", "1950", "--to", "1952", "--format", "json"]) == 0
+    assert [tuple(obj) for obj in json.loads(capsys.readouterr().out)] == [MetricsRecord._fields] * 3
     series = compute_timeseries(fixture_log, range(1950, 1953))
-    assert [record.num_nodes for record in series] == [2, 2, 3]
+    assert [record.N for record in series] == [2, 2, 3]
     assert series[0].sigma is None
-    with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
-        correlate_with_line_count(fixture_log, "bogus", [220], False, range(1950, 1953))
+    years = range(1950, 1981)
+    for name in MetricsRecord._fields:
+        assert correlate_with_line_count(fixture_log, name, [220, 400], False, years).metric == name
+    # tuple attributes such as count and the old long field names are no metrics
+    for name in UNKNOWN_METRICS:
+        with pytest.raises(ValueError, match=f"^unknown metric {re.escape(repr(name))}$"):
+            correlate_with_line_count(fixture_log, name, [220, 400], False, years)
+        argv = ["correlate", *log_args, "--metric", name, "--voltages", "220,400", "--from", "1950", "--to", "1980"]
+        assert cli.main(argv) == 1, name
+        assert capsys.readouterr() == ("", f"error: unknown metric {name!r}\n")
 
 
 def test_pearson_trivial_cases():
@@ -515,8 +535,8 @@ def test_fixture_crossing_year_matches_mesh_activation(fixture_log):
     result = small_world_transition(series)
     assert result.first_year == 1966
     assert result.crossings == ((1966, "up"),)
-    assert series[years.index(1960)].clustering == 0.0
-    assert series[years.index(1961)].clustering > 0.0
+    assert series[years.index(1960)].C == 0.0
+    assert series[years.index(1961)].C > 0.0
 
 
 def test_correlation_report_drops_undefined_years(fixture_log):

@@ -337,18 +337,18 @@ def test_modularity_intra_edge_addition_can_lower_q():
 def test_metrics_record_csv_formatting():
     record = MetricsRecord(
         year=1999,
-        num_nodes=314,
-        num_edges=399,
+        N=314,
+        E=399,
         avg_degree=2.5414012738853504,
         diameter=14,
-        avg_path_length=6.64,
-        clustering=0.063,
-        random_path_length=6.048586446487767,
-        random_clustering=0.008089171974522294,
+        L=6.64,
+        C=0.063,
+        L_r=6.048586446487767,
+        C_r=0.008089171974522294,
         sigma=7.0945081754827,
-        modularity_q=None,
-        component_count=1,
-        largest_component_size=314,
+        Q=None,
+        components=1,
+        lcc_size=314,
     )
     text = records_to_csv([record])
     row = "1999,314,399,2.5414,14,6.64,0.063,6.04859,0.00808917,7.09451,NA,1,314"
