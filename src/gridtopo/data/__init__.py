@@ -1,12 +1,11 @@
-"""Bundled demo dataset: a small fictional grid with a verified metrics table."""
+"""Bundled demo dataset: a small fictional grid with a verified metrics table, kept as
+plain files next to this module, so a zipped import of the package is not supported."""
 
-from importlib import resources
 from pathlib import Path
 
 
 def _path(name: str) -> Path:
-    with resources.as_file(resources.files(__package__).joinpath(name)) as p:
-        return Path(p)
+    return Path(__file__).with_name(name)
 
 
 def fixture_paths() -> tuple[Path, Path]:

@@ -55,16 +55,7 @@ class CorrelationReport(NamedTuple):
 
 def compute_timeseries(log: TemporalGridLog, years: Sequence[int]) -> tuple[MetricsRecord, ...]:
     """One MetricsRecord per year."""
-    return tuple(_yearly_records(log, _checked_years(years)))
-
-
-def _checked_years(years: Sequence[int]) -> list[int]:
-    years = list(years)
-    if not years:
-        raise ValueError("year range must not be empty")
-    if any(b <= a for a, b in zip(years, years[1:])):
-        raise ValueError("years must be strictly increasing")
-    return years
+    return tuple(_yearly_records(log, list(years)))
 
 
 def _yearly_records(log: TemporalGridLog, years: list[int], *, modularity: bool = True) -> list[MetricsRecord]:
@@ -236,7 +227,7 @@ def correlate_with_line_count(
     reported, since correlation needs both sides.  Only the metric's own
     column leaves the records, so Q is computed only when it is the metric.
     """
-    years = _checked_years(years)
+    years = list(years)
     attr = record_field(metric)
     counts = line_count_series(log, voltages, domestic_only, years)
     records = _yearly_records(log, years, modularity=attr == "Q")

@@ -105,17 +105,17 @@ def build_snapshot(log: TemporalGridLog, year: int) -> GraphSnapshot:
 
 
 def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[GraphSnapshot], list[int]]:
-    """The distinct graphs of strictly increasing ``years``, and the index of each year's graph.
+    """The distinct graphs of non-empty, strictly increasing ``years``, and the index of each year's graph.
 
-    The sweep starts from an empty graph.  The first year applies every
-    commission and decommission event up to it, and every later year the
-    events since the year before, each summed per node and per node pair: a
-    pair is an edge while its count of in-service records is positive, so
-    the order of events within a year, a line that ends in the year another
-    starts on the same pair, a lifetime that ends before the first year and
-    unmerged overlapping records do not matter.  A later year in which no
-    node and no pair flips reuses the previous graph, whose year is the
-    first year it was seen.
+    Any other ``years`` raise ValueError before any event is filed.  The sweep
+    starts from an empty graph.  The first year applies every commission and
+    decommission event up to it, and every later year the events since the year
+    before, each summed per node and per node pair: a pair is an edge while its
+    count of in-service records is positive, so the order of events within a
+    year, a line that ends in the year another starts on the same pair, a
+    lifetime that ends before the first year and unmerged overlapping records do
+    not matter.  A later year in which no node and no pair flips reuses the
+    previous graph, whose year is the first year it was seen.
 
     Let p be the length of the common prefix of the old and new sorted
     labels; no index below p moves.  A new graph keeps the neighbour tuple
@@ -124,12 +124,18 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
     from the adjacency.
     """
     years = list(years)
+    if not years:
+        raise ValueError("year range must not be empty")
+    if any(b <= a for a, b in zip(years, years[1:])):
+        raise ValueError("years must be strictly increasing")
     last = years[-1]
     # per year, the net change in service of each node and pair over the year's events
     node_delta: list[dict] = [{} for _ in years]
     pair_delta: list[dict] = [{} for _ in years]
 
     def events(key, start: int, end: int | None, deltas: list[dict]) -> None:
+        if end is not None and end <= start:
+            return  # never in service, and its -1 would come before or with its +1
         if start <= last:
             delta = deltas[bisect_left(years, start)]
             delta[key] = delta.get(key, 0) + 1
@@ -138,9 +144,7 @@ def yearly_snapshots(log: TemporalGridLog, years: Sequence[int]) -> tuple[list[G
             delta[key] = delta.get(key, 0) - 1
 
     for n in log.nodes:
-        # a reversed lifetime is never in service, but its -1 would come before its +1
-        if n.decommissioned is None or n.commissioned < n.decommissioned:
-            events(n.id, n.commissioned, n.decommissioned, node_delta)
+        events(n.id, n.commissioned, n.decommissioned, node_delta)
     for e, start, end in _service_intervals(log, log.edges):
         events((e.node_a, e.node_b) if e.node_a <= e.node_b else (e.node_b, e.node_a), start, end, pair_delta)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridtopo import graphs
+from gridtopo.evolution import compute_timeseries, correlate_with_line_count
 from gridtopo.graphs import GraphSnapshot, build_snapshot, connected_components, to_edgelist, yearly_snapshots
 from gridtopo.grid_log import (
     EdgeRecord,
@@ -288,6 +289,29 @@ def test_the_sweep_rejects_a_self_loop_in_service_and_repeated_node_ids():
     ):
         with pytest.raises(GridLogError, match="^duplicate node ids$"):
             build()
+
+
+@pytest.mark.parametrize(
+    "years, message",
+    [
+        ([], "year range must not be empty"),
+        ([1980, 1970], "years must be strictly increasing"),
+        ([1970, 1970], "years must be strictly increasing"),
+    ],
+)
+def test_the_sweep_checks_its_years_for_every_range_command(fixture_log, years, message):
+    for run in (
+        lambda rng: yearly_snapshots(fixture_log, rng),
+        lambda rng: compute_timeseries(fixture_log, rng),
+        lambda rng: correlate_with_line_count(fixture_log, "sigma", [220, 400], False, rng),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(years)
+    # a one-shot iterator is read once, though the years are read again after the sweep
+    expected = compute_timeseries(fixture_log, list(range(1950, 1981)))
+    assert compute_timeseries(fixture_log, iter(range(1950, 1981))) == expected
+    report = correlate_with_line_count(fixture_log, "sigma", [220, 400], False, iter(range(1950, 1981)))
+    assert report == correlate_with_line_count(fixture_log, "sigma", [220, 400], False, range(1950, 1981))
 
 
 @pytest.mark.parametrize("source", ["growth-350-1", "growth-4000-1"])
