@@ -12,7 +12,9 @@ class GraphSnapshot:
     """Simple undirected graph for one year.
 
     Nodes are indexed 0..N-1 in sorted label order so that all derived
-    results are reproducible.  Instances are immutable after construction.
+    results are reproducible.  Callers must not assign to its attributes:
+    ``yearly_snapshots`` shares neighbour tuples between snapshots, and it
+    reuses one snapshot for every year in which nothing changed.
     """
 
     __slots__ = ("year", "labels", "_neighbors", "_num_edges")

@@ -84,146 +84,130 @@ class TemporalGridLog(NamedTuple):
 # ---------------------------------------------------------------------------
 # parsing
 #
-# Each table is read in one loop that unpacks a row once and checks its
-# fields in a fixed order, so the first fault in the file is the one
-# reported.  The header is row 1.  Blank rows are skipped; a row with the
-# wrong field count, an empty id or an id seen before is an error, and a
-# CSV syntax error names the row after the last one read.
+# Both tables are read through ``_rows``, which owns the rules every row
+# shares: the header is row 1 and blank rows are skipped; a wrong field
+# count, an empty or repeated id, a CSV syntax error (named as the row
+# after the last one read) and text that is not UTF-8 are errors.  Each
+# table's loop then checks its own fields in a fixed order, so the first
+# fault in the file is the one reported.
 
 
-def _table(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[list[str]]:
-    """CSV rows of one table after its checked header.
+def _rows(source: str | TextIO, label: str, columns: tuple[str, ...]) -> Iterator[tuple[int, str, list[str]]]:
+    """``(row_num, id, fields)`` for each data row of one table.
 
     Text is read with ``newline=""``, as ``load_log`` opens files, so a
     lone carriage return ends a row in both.  One leading byte-order mark
     (U+FEFF) is dropped, so BOM-prefixed text and files parse like the
     plain originals.
     """
-    lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
-    first = next(lines, "").removeprefix("\ufeff")
-    reader = csv.reader(itertools.chain((first,), lines))
+    width = len(columns)
+    seen: set[str] = set()
+    row_num = 0
     try:
+        lines = iter(io.StringIO(source, newline="") if isinstance(source, str) else source)
+        first = next(lines, "").removeprefix("\ufeff")
+        reader = csv.reader(itertools.chain((first,), lines))
         header = next(reader, None)
+        if header is None or tuple(cell.strip() for cell in header) != columns:
+            raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
+        row_num = 1
+        for row_num, row in enumerate(reader, start=2):
+            if len(row) != width or not (row_id := row[0].strip()):
+                if any(cell.strip() for cell in row):
+                    if len(row) != width:
+                        raise GridLogError(f"{label} row {row_num}: expected {width} fields, got {len(row)}")
+                    raise GridLogError(f"{label} row {row_num}: empty id")
+                continue
+            if row_id in seen:
+                raise GridLogError(f"{label} row {row_num}: duplicate {label[:-1]} id {row_id!r}")
+            seen.add(row_id)
+            yield row_num, row_id, row
     except csv.Error as exc:
-        raise GridLogError(f"{label} row 1: {exc}") from None
-    if header is None or tuple(cell.strip() for cell in header) != columns:
-        raise GridLogError(f"{label}: expected header {','.join(columns)!r}")
-    return reader
-
-
-def _skip_blank(row: list[str], label: str, row_num: int, width: int) -> None:
-    """Return for a blank row; raise for a wrong field count or an empty id."""
-    if any(cell.strip() for cell in row):
-        if len(row) != width:
-            raise GridLogError(f"{label} row {row_num}: expected {width} fields, got {len(row)}")
-        raise GridLogError(f"{label} row {row_num}: empty id")
+        raise GridLogError(f"{label} row {row_num + 1}: {exc}") from None
+    except UnicodeDecodeError:  # no row number: text is decoded ahead of the row being read
+        raise GridLogError(f"{label}: not valid UTF-8 text") from None
 
 
 def _parse_nodes(source: str | TextIO) -> dict[str, NodeRecord]:
     """Node records by id, in file order."""
     by_id: dict[str, NodeRecord] = {}
-    row_num = 1
-    try:
-        for row_num, row in enumerate(_table(source, "nodes", NODES_COLUMNS), start=2):
-            if len(row) != 6 or not (node_id := row[0].strip()):
-                _skip_blank(row, "nodes", row_num, 6)
-                continue
-            if node_id in by_id:
-                raise GridLogError(f"nodes row {row_num}: duplicate node id {node_id!r}")
-            _, name, kind, start, end, domestic = row
-            kind = kind.strip()
-            if kind not in NODE_KINDS:
-                raise GridLogError(f"nodes row {row_num}: unknown kind {kind!r}")
+    for row_num, node_id, (_, name, kind, start, end, domestic) in _rows(source, "nodes", NODES_COLUMNS):
+        kind = kind.strip()
+        if kind not in NODE_KINDS:
+            raise GridLogError(f"nodes row {row_num}: unknown kind {kind!r}")
+        try:
+            commissioned = int(start)
+        except ValueError:
+            raise GridLogError(f"nodes row {row_num}: invalid year {start!r}") from None
+        decommissioned = None
+        if end := end.strip():
             try:
-                commissioned = int(start)
+                decommissioned = int(end)
             except ValueError:
-                raise GridLogError(f"nodes row {row_num}: invalid year {start!r}") from None
-            decommissioned = None
-            if end := end.strip():
-                try:
-                    decommissioned = int(end)
-                except ValueError:
-                    raise GridLogError(f"nodes row {row_num}: invalid year {end!r}") from None
-                if decommissioned < commissioned:
-                    raise GridLogError(
-                        f"nodes row {row_num}: node {node_id!r} decommissioned {decommissioned} "
-                        f"before commissioned {commissioned}"
-                    )
-            flag = _DOMESTIC.get(domestic.strip().lower())
-            if flag is None:
-                raise GridLogError(f"nodes row {row_num}: domestic must be true or false, got {domestic!r}")
-            by_id[node_id] = NodeRecord(node_id, name.strip(), kind, commissioned, decommissioned, flag)
-    except csv.Error as exc:
-        raise GridLogError(f"nodes row {row_num + 1}: {exc}") from None
-    except UnicodeDecodeError:  # no row number: text is decoded ahead of the row being read
-        raise GridLogError("nodes: not valid UTF-8 text") from None
+                raise GridLogError(f"nodes row {row_num}: invalid year {end!r}") from None
+            if decommissioned < commissioned:
+                raise GridLogError(
+                    f"nodes row {row_num}: node {node_id!r} decommissioned {decommissioned} "
+                    f"before commissioned {commissioned}"
+                )
+        flag = _DOMESTIC.get(domestic.strip().lower())
+        if flag is None:
+            raise GridLogError(f"nodes row {row_num}: domestic must be true or false, got {domestic!r}")
+        by_id[node_id] = NodeRecord(node_id, name.strip(), kind, commissioned, decommissioned, flag)
     return by_id
 
 
 def _parse_edges(source: str | TextIO, nodes_by_id: dict[str, NodeRecord]) -> list[EdgeRecord]:
     """Edge records in file order; a live edge lies within both endpoints' lifetimes."""
     records: list[EdgeRecord] = []
-    seen: set[str] = set()
-    row_num = 1
-    try:
-        for row_num, row in enumerate(_table(source, "edges", EDGES_COLUMNS), start=2):
-            if len(row) != 7 or not (edge_id := row[0].strip()):
-                _skip_blank(row, "edges", row_num, 7)
-                continue
-            if edge_id in seen:
-                raise GridLogError(f"edges row {row_num}: duplicate edge id {edge_id!r}")
-            seen.add(edge_id)
-            _, node_a, node_b, voltage, start, end, domestic = row
-            node_a, node_b = node_a.strip(), node_b.strip()
-            if (a := nodes_by_id.get(node_a)) is None:
-                raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_a!r}")
-            if (b := nodes_by_id.get(node_b)) is None:
-                raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_b!r}")
-            if node_a == node_b:
-                raise GridLogError(f"edges row {row_num}: self-loop on {node_a!r}")
+    rows = _rows(source, "edges", EDGES_COLUMNS)
+    for row_num, edge_id, (_, node_a, node_b, voltage, start, end, domestic) in rows:
+        node_a, node_b = node_a.strip(), node_b.strip()
+        if (a := nodes_by_id.get(node_a)) is None:
+            raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_a!r}")
+        if (b := nodes_by_id.get(node_b)) is None:
+            raise GridLogError(f"edges row {row_num}: unknown endpoint id {node_b!r}")
+        if node_a == node_b:
+            raise GridLogError(f"edges row {row_num}: self-loop on {node_a!r}")
+        try:
+            voltage_kv = int(voltage)
+        except ValueError:
+            raise GridLogError(f"edges row {row_num}: invalid voltage {voltage!r}") from None
+        if voltage_kv <= 0:
+            raise GridLogError(f"edges row {row_num}: voltage must be positive, got {voltage_kv}")
+        try:
+            commissioned = int(start)
+        except ValueError:
+            raise GridLogError(f"edges row {row_num}: invalid year {start!r}") from None
+        decommissioned = None
+        if end := end.strip():
             try:
-                voltage_kv = int(voltage)
+                decommissioned = int(end)
             except ValueError:
-                raise GridLogError(f"edges row {row_num}: invalid voltage {voltage!r}") from None
-            if voltage_kv <= 0:
-                raise GridLogError(f"edges row {row_num}: voltage must be positive, got {voltage_kv}")
-            try:
-                commissioned = int(start)
-            except ValueError:
-                raise GridLogError(f"edges row {row_num}: invalid year {start!r}") from None
-            decommissioned = None
-            if end := end.strip():
-                try:
-                    decommissioned = int(end)
-                except ValueError:
-                    raise GridLogError(f"edges row {row_num}: invalid year {end!r}") from None
-                if decommissioned < commissioned:
+                raise GridLogError(f"edges row {row_num}: invalid year {end!r}") from None
+            if decommissioned < commissioned:
+                raise GridLogError(
+                    f"edges row {row_num}: edge {edge_id!r} decommissioned {decommissioned} "
+                    f"before commissioned {commissioned}"
+                )
+        flag = _DOMESTIC.get(domestic.strip().lower())
+        if flag is None:
+            raise GridLogError(f"edges row {row_num}: domestic must be true or false, got {domestic!r}")
+        if decommissioned is None or decommissioned > commissioned:  # an empty lifetime is never active
+            for endpoint_id, node in ((node_a, a), (node_b, b)):
+                if commissioned < node.commissioned:
                     raise GridLogError(
-                        f"edges row {row_num}: edge {edge_id!r} decommissioned {decommissioned} "
-                        f"before commissioned {commissioned}"
+                        f"edges row {row_num}: edge {edge_id!r} commissioned {commissioned} "
+                        f"before endpoint {endpoint_id!r} ({node.commissioned})"
                     )
-            flag = _DOMESTIC.get(domestic.strip().lower())
-            if flag is None:
-                raise GridLogError(f"edges row {row_num}: domestic must be true or false, got {domestic!r}")
-            if decommissioned is None or decommissioned > commissioned:  # an empty lifetime is never active
-                for endpoint_id, node in ((node_a, a), (node_b, b)):
-                    if commissioned < node.commissioned:
-                        raise GridLogError(
-                            f"edges row {row_num}: edge {edge_id!r} commissioned {commissioned} "
-                            f"before endpoint {endpoint_id!r} ({node.commissioned})"
-                        )
-                    if node.decommissioned is not None and (
-                        decommissioned is None or decommissioned > node.decommissioned
-                    ):
-                        raise GridLogError(
-                            f"edges row {row_num}: edge {edge_id!r} outlives endpoint {endpoint_id!r} "
-                            f"(decommissioned {node.decommissioned})"
-                        )
-            records.append(EdgeRecord(edge_id, node_a, node_b, voltage_kv, commissioned, decommissioned, flag))
-    except csv.Error as exc:
-        raise GridLogError(f"edges row {row_num + 1}: {exc}") from None
-    except UnicodeDecodeError:  # no row number: text is decoded ahead of the row being read
-        raise GridLogError("edges: not valid UTF-8 text") from None
+                if node.decommissioned is not None and (
+                    decommissioned is None or decommissioned > node.decommissioned
+                ):
+                    raise GridLogError(
+                        f"edges row {row_num}: edge {edge_id!r} outlives endpoint {endpoint_id!r} "
+                        f"(decommissioned {node.decommissioned})"
+                    )
+        records.append(EdgeRecord(edge_id, node_a, node_b, voltage_kv, commissioned, decommissioned, flag))
     return records
 
 
@@ -369,15 +353,12 @@ def line_count_series(
 ) -> list[int]:
     """Per-year count of active lines at the given voltage levels.
 
-    One pass over the edges: a matching line counts in the years of its
-    service interval.
+    One pass over the edges, for any list of years: a matching line
+    counts in the years of its service interval.
     """
     wanted = set(voltages)
     if not wanted:
         raise GridLogError("voltage filter must not be empty")
-    years = list(years)
-    if not years:
-        raise GridLogError("year range must not be empty")
     matching = (e for e in log.edges if e.voltage_kv in wanted and (e.domestic or not domestic_only))
     starts: list[int] = []  # first year in service, per matching line
     ends: list[int] = []  # first year out of service, per matching line that has one

@@ -412,15 +412,23 @@ def test_generate_edge_count_is_bounded(capsys, monkeypatch, kind, params, edges
 
 @pytest.mark.parametrize("table", ["nodes", "edges"])
 def test_a_log_that_is_not_utf8_names_its_table(capsys, tmp_path, fixture_csv_paths, table):
-    paths = dict(zip(("nodes", "edges"), fixture_csv_paths))
-    text = paths[table].read_bytes()
-    row_2 = text.index(b"\n") + 1
-    paths[table] = tmp_path / f"{table}.csv"
-    paths[table].write_bytes(text[:row_2] + b"\xff" + text[row_2:])
-    code, out, err = run_cli(
-        capsys, "snapshot", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--year", "1970"
-    )
-    assert (code, out, err) == (1, "", f"error: {table}: not valid UTF-8 text\n")
+    fixture = dict(zip(("nodes", "edges"), (path.read_bytes() for path in fixture_csv_paths)))
+    # 3000 nodes in a line, about 110 KB per table: a byte 200 bytes before the end
+    # is decoded inside the row loop, long after the first read
+    chain = {
+        "nodes": fixture["nodes"].splitlines(keepends=True)[0]
+        + "".join(f"n{i:04d},node {i},substation,1950,,true\n" for i in range(3000)).encode(),
+        "edges": fixture["edges"].splitlines(keepends=True)[0]
+        + "".join(f"e{i:04d},n{i:04d},n{i + 1:04d},220,1960,,true\n" for i in range(2999)).encode(),
+    }
+    for texts, at in ((fixture, fixture[table].index(b"\n") + 1), (chain, len(chain[table]) - 200)):
+        paths = {name: tmp_path / f"{name}.csv" for name in texts}
+        for name, text in texts.items():
+            paths[name].write_bytes(text[:at] + b"\xff" + text[at:] if name == table else text)
+        code, out, err = run_cli(
+            capsys, "snapshot", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]), "--year", "1970"
+        )
+        assert (code, out, err) == (1, "", f"error: {table}: not valid UTF-8 text\n")
 
 
 CORRELATE_RANGE = ["--from", "1950", "--to", "1980"]

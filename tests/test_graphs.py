@@ -300,6 +300,8 @@ def test_the_sweep_rejects_a_self_loop_in_service_and_repeated_node_ids():
     ],
 )
 def test_the_sweep_checks_its_years_for_every_range_command(fixture_log, years, message):
+    # the line counts answer any list of years, so the sweep alone checks a range
+    assert line_count_series(fixture_log, [220, 400], False, []) == []
     for run in (
         lambda rng: yearly_snapshots(fixture_log, rng),
         lambda rng: compute_timeseries(fixture_log, rng),

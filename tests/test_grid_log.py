@@ -232,8 +232,6 @@ def test_line_count_domestic_only_excludes_cross_border(fixture_log):
 def test_line_count_rejects_empty_filter(fixture_log):
     with pytest.raises(GridLogError):
         line_count_series(fixture_log, set(), False, [1960])
-    with pytest.raises(GridLogError):
-        line_count_series(fixture_log, {220}, False, [])
 
 
 @pytest.mark.parametrize(
